@@ -117,7 +117,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let failures = baseline::drift_failures(&baseline::parse_meter_units(&committed), &rows);
+    let failures = baseline::drift_failures(
+        &baseline::parse_meter_units(&committed),
+        rows.iter().map(|r| (r.system.as_str(), r.meter_units)),
+    );
     if failures.is_empty() {
         println!(
             "baseline check ok: {} systems within {:.0}% of committed meter_units",

@@ -655,6 +655,7 @@ pub mod lint {
 pub mod baseline {
     use super::*;
     use crate::casestudy;
+    use std::collections::HashMap;
     use veris_vc::{verify_krate, SessionStats, Status};
 
     /// Per-function resource budget for the baseline run. Replaces the
@@ -778,9 +779,9 @@ pub mod baseline {
     /// baseline, when present. Missing file, unknown system, or an older
     /// baseline without a `modules` map all yield `None`, and the scheduler
     /// falls back to function counts.
-    pub fn module_weights_for(system: &str) -> Option<std::collections::HashMap<String, u64>> {
+    pub fn module_weights_for(system: &str) -> Option<HashMap<String, u64>> {
         let json = std::fs::read_to_string(committed_path()).ok()?;
-        veris_vc::cache::parse_module_weights(&json, system)
+        parse_module_weights(&json, system)
     }
 
     /// Extract each system's `meter_units` from a committed baseline by
@@ -803,40 +804,81 @@ pub mod baseline {
         out
     }
 
-    /// Compare a fresh measurement against the committed numbers. Returns
-    /// one human-readable line per violation (empty = within tolerance).
-    pub fn drift_failures(committed: &[(String, u64)], fresh: &[SystemCost]) -> Vec<String> {
+    /// Compare fresh `(system, meter_units)` pairs against the committed
+    /// ones (from [`parse_meter_units`] over `BENCH_baseline.json` or
+    /// `BENCH_perf.json`). Returns one human-readable line per violation
+    /// (empty = within tolerance).
+    pub fn drift_failures<'a>(
+        committed: &[(String, u64)],
+        fresh: impl IntoIterator<Item = (&'a str, u64)>,
+    ) -> Vec<String> {
         let mut failures = Vec::new();
-        for row in fresh {
-            let Some((_, base)) = committed.iter().find(|(n, _)| *n == row.system) else {
-                failures.push(format!(
-                    "{}: missing from committed baseline (run `baseline --write`)",
-                    row.system
-                ));
+        for (system, units) in fresh {
+            let Some((_, base)) = committed.iter().find(|(n, _)| n == system) else {
+                failures.push(format!("{system}: missing from committed record"));
                 continue;
             };
             let base_f = *base as f64;
             let drift = if *base == 0 {
-                if row.meter_units == 0 {
+                if units == 0 {
                     0.0
                 } else {
                     f64::INFINITY
                 }
             } else {
-                100.0 * (row.meter_units as f64 - base_f).abs() / base_f
+                100.0 * (units as f64 - base_f).abs() / base_f
             };
             if drift > DRIFT_TOLERANCE_PCT {
                 failures.push(format!(
-                    "{}: meter_units {} vs baseline {} ({:+.1}% > {:.0}% tolerance)",
-                    row.system,
-                    row.meter_units,
-                    base,
-                    100.0 * (row.meter_units as f64 - base_f) / base_f,
+                    "{system}: meter_units {units} vs committed {base} ({:+.1}% > {:.0}% tolerance)",
+                    100.0 * (units as f64 - base_f) / base_f,
                     DRIFT_TOLERANCE_PCT
                 ));
             }
         }
         failures
+    }
+
+    /// Per-module weights for longest-first scheduling, parsed from a prior
+    /// `BENCH_baseline.json` (`"modules":{"name":units,...}` inside a system
+    /// object). String-scanning, like [`parse_meter_units`].
+    fn parse_module_weights(json: &str, system: &str) -> Option<HashMap<String, u64>> {
+        let sys_key = format!("\"{system}\":{{");
+        let start = json.find(&sys_key)? + sys_key.len();
+        let tail = &json[start..];
+        let mods_key = "\"modules\":{";
+        let mstart = tail.find(mods_key)? + mods_key.len();
+        let mtail = &tail[mstart..];
+        let mend = mtail.find('}')?;
+        let body = &mtail[..mend];
+        let mut out = HashMap::new();
+        for pair in body.split(',') {
+            let pair = pair.trim();
+            if pair.is_empty() {
+                continue;
+            }
+            let (k, v) = pair.split_once(':')?;
+            let name = k.trim().trim_matches('"').to_string();
+            let units: u64 = v.trim().parse().ok()?;
+            out.insert(name, units);
+        }
+        Some(out)
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn parse_weights_from_baseline_json() {
+            let json = r#"{"systems":{"lists":{"meter_units":100,"modules":{"lists":60,"util":40}},"nr":{"meter_units":5,"modules":{"nr":5}}}}"#;
+            let w = parse_module_weights(json, "lists").expect("weights");
+            assert_eq!(w.get("lists"), Some(&60));
+            assert_eq!(w.get("util"), Some(&40));
+            let w2 = parse_module_weights(json, "nr").expect("weights");
+            assert_eq!(w2.get("nr"), Some(&5));
+            assert!(parse_module_weights(json, "absent").is_none());
+        }
     }
 }
 
@@ -852,7 +894,7 @@ pub mod baseline {
 /// clock and the reuse counters are recorded but never gated.
 pub mod perf {
     use super::*;
-    use crate::baseline::{BASELINE_RLIMIT, DRIFT_TOLERANCE_PCT};
+    use crate::baseline::BASELINE_RLIMIT;
     use crate::casestudy;
     use veris_vc::{verify_krate, Status};
 
@@ -976,43 +1018,6 @@ pub mod perf {
     /// Path of the committed perf record at the repo root.
     pub fn committed_path() -> std::path::PathBuf {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json")
-    }
-
-    /// Meter-unit drift check against the committed file, with the same
-    /// tolerance as the baseline check. Wall clock and the informational
-    /// reuse counters are never compared.
-    pub fn drift_failures(committed: &[(String, u64)], fresh: &[PerfRow]) -> Vec<String> {
-        let mut failures = Vec::new();
-        for row in fresh {
-            let Some((_, base)) = committed.iter().find(|(n, _)| *n == row.system) else {
-                failures.push(format!(
-                    "{}: missing from committed perf record (run `perf all --write`)",
-                    row.system
-                ));
-                continue;
-            };
-            let base_f = *base as f64;
-            let drift = if *base == 0 {
-                if row.meter_units == 0 {
-                    0.0
-                } else {
-                    f64::INFINITY
-                }
-            } else {
-                100.0 * (row.meter_units as f64 - base_f).abs() / base_f
-            };
-            if drift > DRIFT_TOLERANCE_PCT {
-                failures.push(format!(
-                    "{}: meter_units {} vs committed {} ({:+.1}% > {:.0}% tolerance)",
-                    row.system,
-                    row.meter_units,
-                    base,
-                    100.0 * (row.meter_units as f64 - base_f) / base_f,
-                    DRIFT_TOLERANCE_PCT
-                ));
-            }
-        }
-        failures
     }
 }
 

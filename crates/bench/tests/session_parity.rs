@@ -3,7 +3,7 @@
 //! cache must be *invisible* in every deterministic quantity. For each
 //! example system this asserts that session-reuse verification produces the
 //! same verdicts, unsat cores, diagnostics, and resource-meter totals as a
-//! fresh solver per function, at 1 thread and at 8, and that a warm-cache
+//! fresh solver per function, at 0, 1 and 8 threads, and that a warm-cache
 //! run answers every function from the cache without opening a session.
 
 use std::time::Duration;
@@ -49,8 +49,9 @@ fn assert_deterministic_eq(system: &str, a: &FnReport, b: &FnReport, what: &str)
 }
 
 /// Session reuse must be byte-identical to fresh per-function solving, and
-/// the work-stealing 8-thread schedule must not perturb any verdict or
-/// counter (the meter is deterministic solver work, not wall-clock).
+/// neither the work-stealing 8-thread schedule nor `threads = 0` (run
+/// inline, like 1) may perturb any verdict or counter (the meter is
+/// deterministic solver work, not wall-clock).
 #[test]
 fn sessions_match_fresh_solver_for_every_system() {
     let cfg = cfg();
@@ -69,19 +70,22 @@ fn sessions_match_fresh_solver_for_every_system() {
             let fresh = verify_function(&krate, &rep.name, &cfg);
             assert_deterministic_eq(system, &fresh, rep, "fresh vs session");
         }
-        let t8 = verify_krate(&krate, &cfg, 8);
-        assert_eq!(
-            t1.functions.len(),
-            t8.functions.len(),
-            "{system}: report length at 1 vs 8 threads"
-        );
-        for (a, b) in t1.functions.iter().zip(&t8.functions) {
-            assert_deterministic_eq(system, a, b, "1 vs 8 threads");
+        for threads in [0, 8] {
+            let other = verify_krate(&krate, &cfg, threads);
+            let what = format!("1 vs {threads} threads");
+            assert_eq!(
+                t1.functions.len(),
+                other.functions.len(),
+                "{system}: report length at {what}"
+            );
+            for (a, b) in t1.functions.iter().zip(&other.functions) {
+                assert_deterministic_eq(system, a, b, &what);
+            }
+            assert_eq!(
+                t1.sessions, other.sessions,
+                "{system}: session counters at {what}"
+            );
         }
-        assert_eq!(
-            t1.sessions, t8.sessions,
-            "{system}: session counters at 1 vs 8 threads"
-        );
     }
 }
 

@@ -12,6 +12,7 @@
 //! meter's budget trips — checked only at conflicts, so the abort point is
 //! a deterministic function of the input.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use veris_obs::{Counter, ResourceMeter};
@@ -75,21 +76,6 @@ impl LBool {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
-#[derive(Clone)]
-struct Clause {
-    lits: Vec<Lit>,
-    learnt: bool,
-    activity: f32,
-    deleted: bool,
-    /// Assertion depth this clause lives at. For input clauses: the number
-    /// of open [`SatSolver::push`] frames when it was added. For learnt
-    /// clauses: the derivation level — the maximum depth of any clause (or
-    /// root-assignment tag) its resolution proof rests on. A learnt clause
-    /// whose derivation level is at or below the depth remaining after a
-    /// `pop` is still entailed there and may be retained.
-    level: u32,
-}
-
 /// Snapshot of the complete mutable solver state, taken by
 /// [`SatSolver::push`] and restored wholesale by [`SatSolver::pop`].
 ///
@@ -101,7 +87,7 @@ struct Clause {
 /// the same check run on a fresh solver with the same prefix of operations.
 struct SatFrame {
     num_vars: u32,
-    clauses: Vec<Clause>,
+    clauses: Vec<Vec<Lit>>,
     watches: Vec<Vec<ClauseRef>>,
     assign: Vec<LBool>,
     phase: Vec<bool>,
@@ -114,13 +100,11 @@ struct SatFrame {
     var_inc: f64,
     heap: Vec<BVar>,
     heap_index: Vec<i32>,
-    clause_inc: f32,
     conflicts: u64,
     decisions: u64,
     propagations: u64,
     root_conflict: bool,
     conflict_core: Vec<Lit>,
-    root_tag: Vec<u32>,
 }
 
 /// Outcome of a solve call.
@@ -164,7 +148,9 @@ impl Default for SatLimits {
 /// CDCL SAT solver.
 pub struct SatSolver {
     num_vars: u32,
-    clauses: Vec<Clause>,
+    /// Input and learnt clauses of two or more literals; the first two
+    /// literals of each are its watches.
+    clauses: Vec<Vec<Lit>>,
     /// For each literal, the clauses watching it.
     watches: Vec<Vec<ClauseRef>>,
     assign: Vec<LBool>,
@@ -182,7 +168,6 @@ pub struct SatSolver {
     /// anyway for robustness.
     heap: Vec<BVar>,
     heap_index: Vec<i32>,
-    clause_inc: f32,
     pub conflicts: u64,
     pub decisions: u64,
     pub propagations: u64,
@@ -195,18 +180,6 @@ pub struct SatSolver {
     meter: Option<Arc<ResourceMeter>>,
     /// Open assertion frames (see [`SatSolver::push`]).
     frames: Vec<SatFrame>,
-    /// Per-variable derivation tag for root-level (level-0) assignments:
-    /// the assertion depth the root fact was derived at. Consulted when a
-    /// learnt clause's resolution proof eliminates a root-assigned literal,
-    /// so the clause's derivation level accounts for root facts that came
-    /// from clauses above the retained depth.
-    root_tag: Vec<u32>,
-    /// When set, [`SatSolver::pop`] re-adds learnt clauses whose derivation
-    /// level lies at or below the remaining depth instead of discarding
-    /// them. Off by default: retention changes the subsequent search
-    /// trajectory relative to a fresh solver, which the VC layer's
-    /// byte-identical-replay guarantee forbids (see DESIGN.md).
-    retain_learned: bool,
 }
 
 impl Default for SatSolver {
@@ -232,7 +205,6 @@ impl SatSolver {
             var_inc: 1.0,
             heap: Vec::new(),
             heap_index: Vec::new(),
-            clause_inc: 1.0,
             conflicts: 0,
             decisions: 0,
             propagations: 0,
@@ -240,19 +212,12 @@ impl SatSolver {
             conflict_core: Vec::new(),
             meter: None,
             frames: Vec::new(),
-            root_tag: Vec::new(),
-            retain_learned: false,
         }
     }
 
     /// Attach a resource meter; search work is charged to it from now on.
     pub fn set_meter(&mut self, meter: Arc<ResourceMeter>) {
         self.meter = Some(meter);
-    }
-
-    /// Enable or disable learnt-clause retention across [`SatSolver::pop`].
-    pub fn set_retain_learned(&mut self, on: bool) {
-        self.retain_learned = on;
     }
 
     /// Number of open assertion frames.
@@ -262,8 +227,7 @@ impl SatSolver {
 
     /// Open an assertion frame: snapshot the complete solver state. A later
     /// [`SatSolver::pop`] restores it exactly, so anything added or learnt
-    /// in between leaves no trace (unless retention is enabled, which
-    /// re-adds learnt clauses provably derived below the popped frame).
+    /// in between leaves no trace.
     pub fn push(&mut self) {
         self.frames.push(SatFrame {
             num_vars: self.num_vars,
@@ -280,50 +244,21 @@ impl SatSolver {
             var_inc: self.var_inc,
             heap: self.heap.clone(),
             heap_index: self.heap_index.clone(),
-            clause_inc: self.clause_inc,
             conflicts: self.conflicts,
             decisions: self.decisions,
             propagations: self.propagations,
             root_conflict: self.root_conflict,
             conflict_core: self.conflict_core.clone(),
-            root_tag: self.root_tag.clone(),
         });
     }
 
     /// Close the innermost assertion frame, restoring the exact state at
-    /// the matching [`SatSolver::push`]. With retention enabled, learnt
-    /// clauses (and root-derived unit facts) whose derivation level is at
-    /// or below the remaining depth are re-added afterwards — they are
-    /// consequences of the surviving clause set alone.
+    /// the matching [`SatSolver::push`].
     ///
     /// # Panics
     /// Panics if no frame is open.
     pub fn pop(&mut self) {
         let frame = self.frames.pop().expect("pop without matching push");
-        let depth = self.frames.len() as u32;
-        let mut kept_clauses: Vec<(Vec<Lit>, u32)> = Vec::new();
-        let mut kept_units: Vec<(Lit, u32)> = Vec::new();
-        if self.retain_learned {
-            for c in &self.clauses[frame.clauses.len()..] {
-                if c.learnt && !c.deleted && c.level <= depth {
-                    let mut lits = c.lits.clone();
-                    lits.sort_unstable();
-                    kept_clauses.push((lits, c.level));
-                }
-            }
-            // Root-assigned facts (learnt units and their propagation
-            // closure) derived below the popped frame.
-            for &l in &self.trail {
-                let v = l.var().0 as usize;
-                if self.level[v] == 0
-                    && l.var().0 < frame.num_vars
-                    && frame.assign[v] == LBool::Undef
-                    && self.root_tag[v] <= depth
-                {
-                    kept_units.push((l, self.root_tag[v]));
-                }
-            }
-        }
         self.num_vars = frame.num_vars;
         self.clauses = frame.clauses;
         self.watches = frame.watches;
@@ -338,48 +273,11 @@ impl SatSolver {
         self.var_inc = frame.var_inc;
         self.heap = frame.heap;
         self.heap_index = frame.heap_index;
-        self.clause_inc = frame.clause_inc;
         self.conflicts = frame.conflicts;
         self.decisions = frame.decisions;
         self.propagations = frame.propagations;
         self.root_conflict = frame.root_conflict;
         self.conflict_core = frame.conflict_core;
-        self.root_tag = frame.root_tag;
-        for (l, tag) in kept_units {
-            self.readd_retained(vec![l], tag);
-        }
-        for (lits, level) in kept_clauses {
-            self.readd_retained(lits, level);
-        }
-    }
-
-    /// Re-add a retained learnt clause after a pop. The literals are
-    /// already normalized (sorted, deduped, tautology-free); only the
-    /// root-assignment filtering has to be redone against the restored
-    /// state.
-    fn readd_retained(&mut self, mut lits: Vec<Lit>, level: u32) {
-        if self.root_conflict {
-            return;
-        }
-        self.backtrack_to(0);
-        if lits.iter().any(|&l| self.value(l) == LBool::True) {
-            return;
-        }
-        lits.retain(|&l| self.value(l) != LBool::False);
-        match lits.len() {
-            0 => self.root_conflict = true,
-            1 => {
-                self.enqueue(lits[0], None);
-                self.root_tag[lits[0].var().0 as usize] = level;
-                if self.propagate().is_some() {
-                    self.root_conflict = true;
-                }
-            }
-            _ => {
-                let cref = self.attach_clause(lits, true);
-                self.clauses[cref.0 as usize].level = level;
-            }
-        }
     }
 
     pub fn new_var(&mut self) -> BVar {
@@ -393,7 +291,6 @@ impl SatSolver {
         self.reason.push(None);
         self.activity.push(0.0);
         self.heap_index.push(-1);
-        self.root_tag.push(self.frames.len() as u32);
         self.heap_insert(v);
         v
     }
@@ -460,7 +357,6 @@ impl SatSolver {
                 }
                 if self.value(lits[0]) == LBool::Undef {
                     self.enqueue(lits[0], None);
-                    self.root_tag[lits[0].var().0 as usize] = self.frames.len() as u32;
                     if self.propagate().is_some() {
                         self.root_conflict = true;
                         return false;
@@ -469,24 +365,18 @@ impl SatSolver {
                 true
             }
             _ => {
-                self.attach_clause(lits, false);
+                self.attach_clause(lits);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    fn attach_clause(&mut self, lits: Vec<Lit>) -> ClauseRef {
         debug_assert!(lits.len() >= 2);
         let cref = ClauseRef(self.clauses.len() as u32);
         self.watches[lits[0].negate().index()].push(cref);
         self.watches[lits[1].negate().index()].push(cref);
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            activity: 0.0,
-            deleted: false,
-            level: self.frames.len() as u32,
-        });
+        self.clauses.push(lits);
         cref
     }
 
@@ -497,22 +387,6 @@ impl SatSolver {
         self.phase[v] = !l.is_neg();
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
-        if self.decision_level() == 0 {
-            // Root assignment: tag it with the depth it was derived at, so
-            // retention can tell surviving root facts from popped ones.
-            if let Some(cref) = reason {
-                let c = &self.clauses[cref.0 as usize];
-                let mut tag = c.level;
-                for &q in &c.lits {
-                    if q.var() != l.var() {
-                        tag = tag.max(self.root_tag[q.var().0 as usize]);
-                    }
-                }
-                self.root_tag[v] = tag;
-            }
-            // `reason == None` at level 0 is a unit clause or a learnt
-            // unit; those callers set the tag themselves.
-        }
         self.trail.push(l);
     }
 
@@ -530,18 +404,15 @@ impl SatSolver {
             let mut conflict = None;
             for i in 0..watchers.len() {
                 let cref = watchers[i];
-                if self.clauses[cref.0 as usize].deleted {
-                    continue;
-                }
                 let watched_false = l.negate();
                 // Ensure lits[1] is the false watch.
                 {
                     let clause = &mut self.clauses[cref.0 as usize];
-                    if clause.lits[0] == watched_false {
-                        clause.lits.swap(0, 1);
+                    if clause[0] == watched_false {
+                        clause.swap(0, 1);
                     }
                 }
-                let first = self.clauses[cref.0 as usize].lits[0];
+                let first = self.clauses[cref.0 as usize][0];
                 if self.value(first) == LBool::True {
                     watchers[j] = cref;
                     j += 1;
@@ -550,11 +421,11 @@ impl SatSolver {
                 // Find a new watch.
                 let mut found = false;
                 {
-                    let len = self.clauses[cref.0 as usize].lits.len();
+                    let len = self.clauses[cref.0 as usize].len();
                     for k in 2..len {
-                        let cand = self.clauses[cref.0 as usize].lits[k];
+                        let cand = self.clauses[cref.0 as usize][k];
                         if self.value(cand) != LBool::False {
-                            self.clauses[cref.0 as usize].lits.swap(1, k);
+                            self.clauses[cref.0 as usize].swap(1, k);
                             self.watches[cand.negate().index()].push(cref);
                             found = true;
                             break;
@@ -588,39 +459,27 @@ impl SatSolver {
         None
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause, the backjump
-    /// level, and the clause's *derivation level*: the maximum assertion
-    /// depth of any clause its resolution proof used (root-assigned
-    /// literals contribute their [`SatSolver::root_tag`]).
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
+    /// First-UIP conflict analysis. Returns the learnt clause and the
+    /// backjump level.
+    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32) {
         let mut learnt: Vec<Lit> = vec![Lit(0)]; // placeholder for the UIP
         let mut seen = vec![false; self.num_vars as usize];
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
         let mut cref = conflict;
-        let mut deriv = 0u32;
         loop {
-            {
-                self.bump_clause(cref);
-                deriv = deriv.max(self.clauses[cref.0 as usize].level);
-                let clause = &self.clauses[cref.0 as usize];
-                let start = if p.is_some() { 1 } else { 0 };
-                let lits: Vec<Lit> = clause.lits[start..].to_vec();
-                for q in lits {
-                    let v = q.var().0 as usize;
-                    if !seen[v] && self.level[v] > 0 {
-                        seen[v] = true;
-                        self.bump_var(q.var());
-                        if self.level[v] >= self.decision_level() {
-                            counter += 1;
-                        } else {
-                            learnt.push(q);
-                        }
-                    } else if self.level[v] == 0 {
-                        // Root literal resolved away: its derivation depth
-                        // is part of this clause's provenance.
-                        deriv = deriv.max(self.root_tag[v]);
+            let start = if p.is_some() { 1 } else { 0 };
+            let lits: Vec<Lit> = self.clauses[cref.0 as usize][start..].to_vec();
+            for q in lits {
+                let v = q.var().0 as usize;
+                if !seen[v] && self.level[v] > 0 {
+                    seen[v] = true;
+                    self.bump_var(q.var());
+                    if self.level[v] >= self.decision_level() {
+                        counter += 1;
+                    } else {
+                        learnt.push(q);
                     }
                 }
             }
@@ -643,27 +502,12 @@ impl SatSolver {
             cref = self.reason[pv].expect("non-decision must have a reason");
         }
         // Conflict-clause minimization (simple recursive check).
+        let in_clause: HashSet<BVar> = learnt.iter().map(|l| l.var()).collect();
         let keep: Vec<bool> = learnt
             .iter()
             .enumerate()
-            .map(|(i, &l)| i == 0 || !self.redundant(l, &seen_set(&learnt)))
+            .map(|(i, &l)| i == 0 || !self.redundant(l, &in_clause))
             .collect();
-        // A minimized-away literal's reason clause joins the proof: fold
-        // its depth (and its root literals' tags) into the derivation.
-        for (&l, &k) in learnt.iter().zip(&keep) {
-            if k {
-                continue;
-            }
-            if let Some(cref) = self.reason[l.var().0 as usize] {
-                deriv = deriv.max(self.clauses[cref.0 as usize].level);
-                for &q in &self.clauses[cref.0 as usize].lits[1..] {
-                    let v = q.var().0 as usize;
-                    if self.level[v] == 0 {
-                        deriv = deriv.max(self.root_tag[v]);
-                    }
-                }
-            }
-        }
         let learnt: Vec<Lit> = learnt
             .into_iter()
             .zip(keep)
@@ -675,14 +519,14 @@ impl SatSolver {
             .map(|l| self.level[l.var().0 as usize])
             .max()
             .unwrap_or(0);
-        (learnt, bt, deriv)
+        (learnt, bt)
     }
 
     /// Is `l` implied by the other literals in the learnt clause (one step)?
-    fn redundant(&self, l: Lit, in_clause: &std::collections::HashSet<BVar>) -> bool {
+    fn redundant(&self, l: Lit, in_clause: &HashSet<BVar>) -> bool {
         match self.reason[l.var().0 as usize] {
             None => false,
-            Some(cref) => self.clauses[cref.0 as usize].lits[1..]
+            Some(cref) => self.clauses[cref.0 as usize][1..]
                 .iter()
                 .all(|&q| in_clause.contains(&q.var()) || self.level[q.var().0 as usize] == 0),
         }
@@ -729,19 +573,6 @@ impl SatSolver {
 
     fn decay_var(&mut self) {
         self.var_inc /= 0.95;
-    }
-
-    fn bump_clause(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref.0 as usize];
-        if c.learnt {
-            c.activity += self.clause_inc;
-            if c.activity > 1e20 {
-                for cl in &mut self.clauses {
-                    cl.activity *= 1e-20;
-                }
-                self.clause_inc *= 1e-20;
-            }
-        }
     }
 
     fn heap_insert(&mut self, v: BVar) {
@@ -860,9 +691,8 @@ impl SatSolver {
             return SatResult::Unsat;
         }
         let mut conflicts_at_start = self.conflicts;
-        let mut restart_unit = 64u64;
         let mut luby_idx = 1u64;
-        let mut next_restart = self.conflicts + restart_unit * luby(luby_idx);
+        let mut next_restart = self.conflicts + RESTART_UNIT * luby(luby_idx);
         loop {
             if let Some(conflict) = self.propagate() {
                 self.conflicts += 1;
@@ -886,24 +716,20 @@ impl SatSolver {
                         }
                     }
                 }
-                let (learnt, bt, deriv) = self.analyze(conflict);
+                let (learnt, bt) = self.analyze(conflict);
                 self.backtrack_to(bt);
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], None);
-                    if self.decision_level() == 0 {
-                        self.root_tag[learnt[0].var().0 as usize] = deriv;
-                    }
                 } else {
-                    let cref = self.attach_clause(learnt.clone(), true);
-                    self.clauses[cref.0 as usize].level = deriv;
-                    self.enqueue(learnt[0], Some(cref));
+                    let uip = learnt[0];
+                    let cref = self.attach_clause(learnt);
+                    self.enqueue(uip, Some(cref));
                 }
                 self.decay_var();
             } else {
                 if self.conflicts >= next_restart {
                     luby_idx += 1;
-                    restart_unit = 64;
-                    next_restart = self.conflicts + restart_unit * luby(luby_idx);
+                    next_restart = self.conflicts + RESTART_UNIT * luby(luby_idx);
                     self.backtrack_to(0);
                     continue;
                 }
@@ -1019,7 +845,7 @@ impl SatSolver {
                 // assumption (empty levels carry no trail literals).
                 None => core.push(l),
                 Some(cref) => {
-                    for &q in &self.clauses[cref.0 as usize].lits[1..] {
+                    for &q in &self.clauses[cref.0 as usize][1..] {
                         if self.level[q.var().0 as usize] > 0 {
                             seen[q.var().0 as usize] = true;
                         }
@@ -1031,9 +857,8 @@ impl SatSolver {
     }
 }
 
-fn seen_set(lits: &[Lit]) -> std::collections::HashSet<BVar> {
-    lits.iter().map(|l| l.var()).collect()
-}
+/// Conflicts per Luby unit between restarts.
+const RESTART_UNIT: u64 = 64;
 
 /// Luby restart sequence (1-indexed): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ...
 fn luby(i: u64) -> u64 {
@@ -1287,86 +1112,29 @@ mod tests {
     }
 
     #[test]
-    fn pop_retains_learnts_derived_below() {
-        // All clauses live at depth 0; the search (and therefore all
-        // learning) happens inside a frame, so every learnt clause has
-        // derivation level 0 and survives the pop when retention is on.
+    fn pop_discards_learnts() {
         let mut s = relaxed_pigeonhole();
-        s.set_retain_learned(true);
+        let clauses_before_push = s.clauses.len();
         s.push();
         let asm = [lit(-7)];
         assert_eq!(
             s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
-        let learnt_in_frame = s.clauses.iter().filter(|c| c.learnt && !c.deleted).count();
-        assert!(learnt_in_frame > 0, "the PHP search must learn clauses");
+        assert!(
+            s.clauses.len() > clauses_before_push,
+            "the PHP search must learn clauses"
+        );
         s.pop();
-        // No units existed before the push, so every root fact and learnt
-        // clause present now was retained across the pop.
-        let learnt_after = s.clauses.iter().filter(|c| c.learnt && !c.deleted).count();
-        let root_facts_after = s
-            .trail
-            .iter()
-            .filter(|l| s.level[l.var().0 as usize] == 0)
-            .count();
-        assert!(
-            learnt_after + root_facts_after > 0,
-            "retention must preserve some fact derived inside the frame"
-        );
-        // Retained lemmas are consequences: verdicts are unchanged.
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
-            SatResult::Unsat
-        );
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
-        assert_eq!(s.value(lit(7)), LBool::True);
-    }
-
-    #[test]
-    fn pop_without_retention_discards_learnts() {
-        let mut s = relaxed_pigeonhole();
-        s.push();
-        let asm = [lit(-7)];
-        assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
-            SatResult::Unsat
-        );
-        let clauses_before_pop = s.clauses.len();
-        s.pop();
-        assert!(
-            s.clauses.len() <= clauses_before_pop,
-            "exact pop must not grow the clause database"
-        );
-        assert!(
-            s.clauses.iter().all(|c| !c.learnt),
-            "exact pop restores the pre-push clause set (no learnts yet)"
+            s.clauses.len(),
+            clauses_before_push,
+            "pop restores the pre-push clause set"
         );
         assert_eq!(
             s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
-    }
-
-    #[test]
-    fn retained_learnt_unit_propagates() {
-        // (¬a∨b), (¬a∨¬b): no unit propagation at depth 0, but assuming
-        // `a` inside a frame conflicts and learns the root unit ¬a from
-        // depth-0 clauses only. After the pop the retained unit must be
-        // assigned at the root without any new search.
-        let mut s = solver_with_vars(2);
-        assert!(s.add_clause(vec![lit(-1), lit(2)]));
-        assert!(s.add_clause(vec![lit(-1), lit(-2)]));
-        s.set_retain_learned(true);
-        s.push();
-        assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &[lit(1)], |_| FinalCheck::Consistent),
-            SatResult::Unsat
-        );
-        s.pop();
-        assert_eq!(s.value(lit(-1)), LBool::True, "retained unit is assigned");
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
-        assert_eq!(s.value(lit(-1)), LBool::True);
     }
 
     #[test]

@@ -427,13 +427,6 @@ impl Solver {
         self.frames.len() as u32
     }
 
-    /// Enable learnt-clause retention across pops in the SAT core. Off by
-    /// default because retained lemmas perturb the next frame's search
-    /// relative to a fresh solver (see DESIGN.md on session replay).
-    pub fn set_retain_learned(&mut self, on: bool) {
-        self.sat.set_retain_learned(on);
-    }
-
     /// Attach a resource meter. The SAT core, congruence closure, simplex,
     /// and the quantifier engine all charge it; call before `check`.
     pub fn set_meter(&mut self, meter: Arc<ResourceMeter>) {

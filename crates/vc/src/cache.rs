@@ -15,7 +15,6 @@
 //! JSON parser, and the entries are ours on both ends). Writes go through
 //! a temp file + rename so concurrent workers never observe a torn entry.
 
-use std::collections::HashMap;
 use std::path::Path;
 
 use veris_obs::{DiagItem, Diagnostic, MeterSnapshot, PhaseTimes, QuantProfile, Severity};
@@ -366,32 +365,6 @@ pub fn visible_modules<'k>(krate: &'k Krate, module: &Module, cfg: &VcConfig) ->
     }
 }
 
-/// Per-module weights for longest-first scheduling, parsed from a prior
-/// `BENCH_baseline.json` (`"modules":{"name":units,...}` inside a system
-/// object). String-scanning, like the rest of the JSON handling here.
-pub fn parse_module_weights(json: &str, system: &str) -> Option<HashMap<String, u64>> {
-    let sys_key = format!("\"{system}\":{{");
-    let start = json.find(&sys_key)? + sys_key.len();
-    let tail = &json[start..];
-    let mods_key = "\"modules\":{";
-    let mstart = tail.find(mods_key)? + mods_key.len();
-    let mtail = &tail[mstart..];
-    let mend = mtail.find('}')?;
-    let body = &mtail[..mend];
-    let mut out = HashMap::new();
-    for pair in body.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (k, v) = pair.split_once(':')?;
-        let name = k.trim().trim_matches('"').to_string();
-        let units: u64 = v.trim().parse().ok()?;
-        out.insert(name, units);
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,16 +463,5 @@ mod tests {
         assert!(bytes > 0);
         assert!(load(&dir, "ffffffffffffffffffffffffffffffff").is_none());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn parse_weights_from_baseline_json() {
-        let json = r#"{"systems":{"lists":{"meter_units":100,"modules":{"lists":60,"util":40}},"nr":{"meter_units":5,"modules":{"nr":5}}}}"#;
-        let w = parse_module_weights(json, "lists").expect("weights");
-        assert_eq!(w.get("lists"), Some(&60));
-        assert_eq!(w.get("util"), Some(&40));
-        let w2 = parse_module_weights(json, "nr").expect("weights");
-        assert_eq!(w2.get("nr"), Some(&5));
-        assert!(parse_module_weights(json, "absent").is_none());
     }
 }

@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -676,12 +677,10 @@ fn counterexample_diag(
 /// points, unsat cores, and query bytes are byte-identical to a fresh
 /// solver that re-encoded the context (see `encode_context`).
 ///
-/// Learned-clause retention across frames is deliberately left off here:
-/// retained lemmas would make a later function's search depend on which
-/// functions ran before it in the session, breaking the byte-for-byte
-/// parity contract with [`verify_function`]. The SAT core supports
-/// retention (`set_retain_learned`) for callers that prefer raw speed
-/// over reproducibility.
+/// Learnt clauses never outlive a frame's `pop`: retained lemmas would
+/// make a later function's search depend on which functions ran before it
+/// in the session, breaking the byte-for-byte parity contract with
+/// [`verify_function`].
 struct ModuleSession<'k> {
     solver: Solver,
     ctx: EncCtx<'k>,
@@ -881,48 +880,33 @@ pub fn verify_krate(krate: &Krate, cfg: &VcConfig, threads: usize) -> KrateRepor
     let mut reports: Vec<Option<FnReport>> = vec![None; slot];
     let mut sessions = SessionStats::new();
     let mut axiom_sets: Vec<HashSet<String>> = Vec::new();
-    if threads <= 1 {
-        for g in &groups {
-            let (reps, stats, axiomed) = run_module_group(krate, g, cfg, &lint);
-            for (i, r) in reps {
-                reports[i] = Some(r);
-            }
-            sessions = sessions.add(&stats);
-            axiom_sets.push(axiomed);
+    // Each worker pulls the next unclaimed group. With one thread the loop
+    // runs inline, without spawning.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut out = Vec::new();
+        while let Some(g) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+            out.push(run_module_group(krate, g, cfg, &lint));
         }
+        out
+    };
+    let results = if threads <= 1 {
+        work()
     } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let groups = &groups;
-        let lint_ref = &lint;
-        let worker_results = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for _ in 0..threads {
-                let next = &next;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let gi = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if gi >= groups.len() {
-                            break;
-                        }
-                        out.push(run_module_group(krate, &groups[gi], cfg, lint_ref));
-                    }
-                    out
-                }));
-            }
-            let mut all = Vec::new();
-            for h in handles {
-                all.extend(h.join().expect("verification worker panicked"));
-            }
-            all
-        });
-        for (reps, stats, axiomed) in worker_results {
-            for (i, r) in reps {
-                reports[i] = Some(r);
-            }
-            sessions = sessions.add(&stats);
-            axiom_sets.push(axiomed);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("verification worker panicked"))
+                .collect()
+        })
+    };
+    for (reps, stats, axiomed) in results {
+        for (i, r) in reps {
+            reports[i] = Some(r);
         }
+        sessions = sessions.add(&stats);
+        axiom_sets.push(axiomed);
     }
     // Lint-gated slots: `Failed` with the findings, no solver constructed.
     for (i, fname) in &gated {
