@@ -22,7 +22,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: explain <{}|diagdemo> [--fn NAME] [--threads N] [--json]",
+        "usage: explain <{}|diagdemo|epr> [--fn NAME] [--threads N] [--json]",
         casestudy::NAMES.join("|")
     );
     std::process::exit(2);

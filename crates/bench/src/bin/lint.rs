@@ -1,12 +1,14 @@
 //! Pre-solver static analysis over one case-study krate: matching-loop
 //! detection on inferred triggers, termination call-graph checking,
-//! quantifier-alternation advisories, and spec-health lints. No solver is
-//! ever constructed.
+//! quantifier-alternation advisories, the EPR fragment check of
+//! `#[epr_mode]` modules, and spec-health lints. No solver is ever
+//! constructed.
 //!
 //! ```text
 //! cargo run -p veris-bench --bin lint -- lists
 //! cargo run -p veris-bench --bin lint -- ironkv --json
 //! cargo run -p veris-bench --bin lint -- all --json
+//! cargo run -p veris-bench --bin lint -- epr --json
 //! ```
 //!
 //! `--json` emits deterministic JSONL: a header line (schema version,
@@ -17,7 +19,7 @@ use veris_bench::{casestudy, lint};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: lint <{}|diagdemo|all> [--json]",
+        "usage: lint <{}|diagdemo|epr|all> [--json]",
         casestudy::NAMES.join("|")
     );
     std::process::exit(2);

@@ -31,7 +31,7 @@ struct Opts {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: profile <{}> [--rlimit N] [--top K] [--threads N] [--json] [--cache [DIR]|--no-cache]",
+        "usage: profile <{}|epr> [--rlimit N] [--top K] [--threads N] [--json] [--cache [DIR]|--no-cache]",
         casestudy::NAMES.join("|")
     );
     std::process::exit(2);

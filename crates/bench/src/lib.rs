@@ -171,10 +171,16 @@ pub mod casestudy {
 
     /// Build the named case-study krate (`None` for an unknown name).
     /// Besides the Fig 9 systems, accepts `diagdemo` — the seeded
-    /// diagnostics demo used by the `explain` harness.
+    /// diagnostics demo used by the `explain` harness — and `epr`, the
+    /// two `#[epr_mode]` models (the IronKV delegation map and the
+    /// distributed lock) merged into one krate.
     pub fn krate(name: &str) -> Option<Krate> {
         Some(match name {
             "diagdemo" => crate::diagdemo::krate(),
+            "epr" => merge(vec![
+                veris_ironkv::model::epr_krate(),
+                veris_collections::distlock::epr_mode_krate(),
+            ]),
             "ironkv" => veris_ironkv::model::concrete_krate(),
             "nr" => nr_krate(),
             "pagetable" => merge(vec![
@@ -237,16 +243,17 @@ pub mod fig9 {
             .map(|n| n.get().min(8))
             .unwrap_or(8);
         let mut table = MacroTable::default();
-        // IronKV: default-mode obligations via the standard pipeline; the
-        // EPR abstraction module through the EPR engine (its proofs are
-        // decided by saturation, as in §3.2). Lines from both count.
+        // IronKV: the default-mode obligations and the EPR abstraction
+        // module, both through `verify_krate`; the abstraction's
+        // `epr_mode` flag has its proofs decided by saturation, as in
+        // §3.2. Lines from both count.
         {
             let cfg = cfg_with_weights("ironkv");
             let concrete = veris_ironkv::model::concrete_krate();
             let mut row = MacroRow::measure("IronKV (delegation)", &concrete, &cfg, threads);
             let epr = veris_ironkv::model::epr_krate();
             let t0 = Instant::now();
-            let erep = veris_epr::verify_epr_module(&epr, "delegation_epr");
+            let erep = veris_vc::verify_krate(&epr, &VcConfig::default(), 1);
             let epr_time = t0.elapsed();
             row.lines.add(veris_vir::loc::count_krate(&epr));
             row.time_1core += epr_time;
@@ -462,7 +469,7 @@ pub mod distlock {
         let lines_def = veris_vir::loc::count_krate(&def);
         let epr = veris_collections::distlock::epr_mode_krate();
         let t1 = Instant::now();
-        let rep = veris_epr::verify_epr_module(&epr, "distlock_epr");
+        let rep = veris_vc::verify_krate(&epr, &VcConfig::default(), 1);
         let t_epr = t1.elapsed();
         let lines_epr = veris_vir::loc::count_krate(&epr);
         let _ = writeln!(

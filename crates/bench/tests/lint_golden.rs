@@ -29,7 +29,11 @@ fn lint_jsonl_byte_identical_across_runs() {
 
 #[test]
 fn every_case_study_system_is_free_of_error_lints() {
-    for system in veris_bench::casestudy::NAMES.iter().chain(&["diagdemo"]) {
+    // `epr` also holds the #[epr_mode] models to the EPR fragment.
+    for system in veris_bench::casestudy::NAMES
+        .iter()
+        .chain(&["diagdemo", "epr"])
+    {
         let report = report_for(system).unwrap();
         assert_eq!(
             report.stats.errors,

@@ -144,9 +144,8 @@ pub fn epr_mode_krate() -> Krate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veris_epr::verify_epr_module;
     use veris_idioms::config_with_provers;
-    use veris_vc::verify_function;
+    use veris_vc::{verify_function, verify_krate, VcConfig};
 
     #[test]
     fn default_mode_transfer_verifies() {
@@ -159,8 +158,11 @@ mod tests {
     #[test]
     fn epr_mode_fully_automatic() {
         let k = epr_mode_krate();
-        let rep = verify_epr_module(&k, "distlock_epr");
-        assert!(rep.all_verified(), "{:?}", rep.report.failures());
+        let rep = verify_krate(&k, &VcConfig::default(), 1);
+        assert_eq!(rep.lint_stats.errors, 0, "{:?}", rep.lints);
+        assert!(rep.all_verified(), "{:?}", rep.failures());
+        let names: Vec<&str> = rep.functions.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["epr_transfer_preserves"]);
     }
 
     #[test]

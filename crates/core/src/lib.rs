@@ -8,7 +8,8 @@
 //! - [`veris_smt`] — the SMT solver (the project's "Z3");
 //! - [`veris_vir`] — the verification IR (the "Rust function level");
 //! - [`veris_vc`] — WP calculus, encoding styles, verification driver;
-//! - [`veris_epr`] — `#[epr_mode]` fragment checking and saturation;
+//! - [`veris_epr`] — per-module report of `#[epr_mode]` verification
+//!   (EPR saturation and the fragment lint run inside `verify_krate`);
 //! - [`veris_idioms`] — `by(bit_vector|nonlinear_arith|integer_ring|compute)`;
 //! - [`veris_sync`] — VerusSync sharded state machines and runtime tokens.
 //!

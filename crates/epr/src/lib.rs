@@ -1,25 +1,32 @@
-//! # veris-epr — selective EPR automation (paper §3.2)
+//! # veris-epr — per-module view of `#[epr_mode]` verification (paper §3.2)
 //!
-//! `#[epr_mode]` modules get *fully automated* proofs: after the
-//! [`fragment`] checker confirms the module's obligations lie in EPR
-//! (no arithmetic, acyclic quantifier-alternation graph), queries are
-//! decided by saturating quantifier instantiation over the finite ground
-//! universe — a complete decision procedure, so no manual triggers, case
-//! splits, or assertions are needed.
+//! `#[epr_mode]` modules get *fully automated* proofs, and they need no
+//! driver of their own: [`veris_vc::verify_krate`] reads each module's
+//! `epr_mode` flag and decides that module's queries by saturating
+//! quantifier instantiation over the finite ground universe — a complete
+//! decision procedure, so no manual triggers, case splits, or assertions
+//! are needed. The `epr-fragment` lint of `veris-lint` first checks that
+//! the module's obligations lie in EPR (no arithmetic, acyclic
+//! quantifier-alternation graph) and gates any function that leaves it.
+//! [`verify_epr_module`] runs that pipeline and filters its report to one
+//! module.
 //!
 //! The integration pattern mirrors the paper's Figure 3: a concrete module
 //! (a) is abstracted into an EPR model (b); the model's invariants are
-//! proved automatically here (c); and the exported lemmas discharge the
+//! proved automatically (c); and the exported lemmas discharge the
 //! concrete module's obligations through the ordinary pipeline (d). The
 //! (a)–(b) and (c)–(d) connections are plain default-mode obligations
 //! checked by `veris-vc`.
 
-pub mod fragment;
+use veris_vc::{lint_ids, verify_krate, KrateReport, VcConfig};
+use veris_vir::module::Krate;
 
-use veris_vc::{verify_function, FnReport, KrateReport, Status, VcConfig};
-use veris_vir::module::{FnBody, Krate, Mode};
-
-pub use fragment::{check_module, EprViolation};
+/// A violation of the EPR fragment: where, and what.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EprViolation {
+    pub context: String,
+    pub message: String,
+}
 
 /// Result of verifying an `#[epr_mode]` module.
 #[derive(Clone, Debug)]
@@ -35,68 +42,49 @@ impl EprReport {
     }
 }
 
-/// Verify every function of a module using EPR saturation. Fails fast with
-/// fragment violations if the module is not within EPR.
+/// Verify `krate` and report one `#[epr_mode]` module: its functions'
+/// verdicts, and its `epr-fragment` findings as violations. An unknown
+/// module, or one not in `epr_mode`, is reported as a violation.
 pub fn verify_epr_module(krate: &Krate, module_name: &str) -> EprReport {
-    let module = krate
-        .modules
-        .iter()
-        .find(|m| m.name == module_name)
-        .unwrap_or_else(|| panic!("unknown module `{module_name}`"));
-    let violations = check_module(krate, module);
-    if !violations.is_empty() {
-        return EprReport {
-            module: module_name.to_owned(),
-            fragment_violations: violations,
-            report: KrateReport::default(),
-        };
-    }
-    let cfg = VcConfig {
-        epr_mode: true,
-        ..VcConfig::default()
+    let violation = |message: &str| EprReport {
+        module: module_name.to_owned(),
+        fragment_violations: vec![EprViolation {
+            context: module_name.to_owned(),
+            message: message.to_owned(),
+        }],
+        report: KrateReport::default(),
     };
-    let mut functions: Vec<FnReport> = Vec::new();
-    let t0 = std::time::Instant::now();
-    for f in &module.functions {
-        let has_work = match f.mode {
-            Mode::Exec | Mode::Proof => !matches!(f.body, FnBody::Abstract),
-            Mode::Spec => !f.ensures.is_empty(),
-        };
-        if has_work && !f.trusted {
-            functions.push(verify_function(krate, &f.name, &cfg));
-        }
+    let Some(module) = krate.modules.iter().find(|m| m.name == module_name) else {
+        return violation("unknown module");
+    };
+    if !module.epr_mode {
+        return violation("module is not in `epr_mode`");
     }
+    let mut report = verify_krate(krate, &VcConfig::default(), 1);
+    let in_module =
+        |name: &str| name == module_name || module.functions.iter().any(|f| f.name == name);
+    report.functions.retain(|f| in_module(&f.name));
+    let fragment_violations = report
+        .lints
+        .iter()
+        .filter(|d| d.code == lint_ids::EPR_FRAGMENT && in_module(&d.function))
+        .map(|d| EprViolation {
+            context: d.function.clone(),
+            message: d.message.clone(),
+        })
+        .collect();
     EprReport {
         module: module_name.to_owned(),
-        fragment_violations: Vec::new(),
-        report: KrateReport {
-            functions,
-            wall_time: t0.elapsed(),
-            ..KrateReport::default()
-        },
+        fragment_violations,
+        report,
     }
-}
-
-/// Check a single named proof function in EPR mode (used when only part of
-/// a module is EPR).
-pub fn verify_epr_function(krate: &Krate, fname: &str) -> FnReport {
-    let cfg = VcConfig {
-        epr_mode: true,
-        ..VcConfig::default()
-    };
-    verify_function(krate, fname, &cfg)
-}
-
-/// Convenience predicate for tests and drivers.
-pub fn epr_verified(krate: &Krate, fname: &str) -> bool {
-    matches!(verify_epr_function(krate, fname).status, Status::Verified)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use veris_vir::expr::{and_all, call, forall, var, ExprExt};
-    use veris_vir::module::{Function, Module};
+    use veris_vir::module::{Function, Mode, Module};
     use veris_vir::stmt::Stmt;
     use veris_vir::ty::Ty;
 
@@ -164,10 +152,8 @@ mod tests {
 
     #[test]
     fn lock_module_is_epr() {
-        let k = lock_krate();
-        let m = &k.modules[0];
-        let v = check_module(&k, m);
-        assert!(v.is_empty(), "{v:?}");
+        let lint = veris_vc::lint_krate(&lock_krate());
+        assert_eq!(lint.stats.errors, 0, "{:?}", lint.diagnostics);
     }
 
     #[test]
@@ -175,6 +161,54 @@ mod tests {
         let k = lock_krate();
         let rep = verify_epr_module(&k, "lock");
         assert!(rep.all_verified(), "{:?}", rep.report.failures());
+        let names: Vec<&str> = rep
+            .report
+            .functions
+            .iter()
+            .map(|f| f.name.as_str())
+            .collect();
+        assert_eq!(names, ["transfer_preserves_mutex"]);
+    }
+
+    #[test]
+    fn unknown_or_default_mode_module_is_a_violation() {
+        let rep = verify_epr_module(&lock_krate(), "no_such_module");
+        assert!(!rep.all_verified());
+        assert_eq!(rep.fragment_violations[0].message, "unknown module");
+        assert!(rep.report.functions.is_empty());
+
+        let mut k = lock_krate();
+        k.modules[0].epr_mode = false;
+        let rep = verify_epr_module(&k, "lock");
+        assert!(!rep.all_verified());
+        assert!(rep.report.functions.is_empty());
+    }
+
+    #[test]
+    fn fragment_violation_gates_the_module() {
+        // An integer parameter leaves EPR: the function is gated by the
+        // lint before any solver runs, and the finding is reported.
+        let mut k = lock_krate();
+        let f = &mut k.modules[0].functions[2];
+        *f = f.clone().param("count", Ty::Int);
+        let rep = verify_epr_module(&k, "lock");
+        assert!(!rep.all_verified());
+        assert_eq!(
+            rep.fragment_violations.len(),
+            1,
+            "{:?}",
+            rep.fragment_violations
+        );
+        assert_eq!(
+            rep.fragment_violations[0].context,
+            "transfer_preserves_mutex"
+        );
+        let f = &rep.report.functions[0];
+        assert_eq!(
+            f.status,
+            veris_vc::Status::Failed("lint: epr-fragment".into())
+        );
+        assert_eq!(f.rlimit_spent(), 0);
     }
 
     #[test]

@@ -358,9 +358,8 @@ pub fn epr_krate() -> Krate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use veris_epr::verify_epr_module;
     use veris_idioms::config_with_provers;
-    use veris_vc::verify_krate;
+    use veris_vc::{verify_krate, VcConfig};
 
     #[test]
     fn concrete_default_mode_verifies() {
@@ -373,12 +372,10 @@ mod tests {
     #[test]
     fn epr_abstraction_is_in_fragment_and_verifies() {
         let k = epr_krate();
-        let rep = verify_epr_module(&k, "delegation_epr");
-        assert!(
-            rep.fragment_violations.is_empty(),
-            "{:?}",
-            rep.fragment_violations
-        );
-        assert!(rep.all_verified(), "{:?}", rep.report.failures());
+        let rep = verify_krate(&k, &VcConfig::default(), 1);
+        assert_eq!(rep.lint_stats.errors, 0, "{:?}", rep.lints);
+        assert!(rep.all_verified(), "{:?}", rep.failures());
+        let names: Vec<&str> = rep.functions.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["set_preserves_invariants", "get_after_set"]);
     }
 }

@@ -21,9 +21,10 @@
 //!    clause is an error (the "pure total spec functions" soundness story
 //!    demands a measure); a `decreases` that mentions no parameter changing
 //!    across a self-recursive call is a warning.
-//! 3. [`alternation`] — **alternation reporter**: the EPR
-//!    quantifier-alternation acyclicity check lifted into a crate-wide
-//!    advisory, emitted even for modules not in `epr_mode`.
+//! 3. [`alternation`] — **alternation graph and EPR fragment check**: one
+//!    walk builds each module's quantifier-alternation sort graph. Outside
+//!    `epr_mode` a cycle is an advisory note; in an `epr_mode` module every
+//!    step outside EPR (arithmetic, non-EPR types, a cycle) is an error.
 //! 4. [`spec_health`] — **spec-health lints**: possibly-vacuous `requires`
 //!    (cheap bounded evaluation via `vir::interp` over a small probe grid —
 //!    never a solver call) and trivially-true `ensures`.
@@ -65,10 +66,16 @@ pub mod ids {
     /// A `decreases` expression mentions no parameter that changes across
     /// the recursive call.
     pub const DECREASES_UNCHANGED: &str = "decreases-unchanged-params";
-    /// The quantifier-alternation sort graph of a module has a cycle
-    /// (advisory outside `epr_mode`; saturation would not be guaranteed to
-    /// terminate).
+    /// The quantifier-alternation sort graph of a module outside
+    /// `epr_mode` has a cycle: a note, because instantiation over those
+    /// sorts has no termination guarantee. In an `epr_mode` module the
+    /// cycle is an [`EPR_FRAGMENT`] error instead.
     pub const ALTERNATION_CYCLE: &str = "quantifier-alternation-cycle";
+    /// An `epr_mode` module leaves the EPR fragment: arithmetic, an integer
+    /// literal, a non-EPR type or operator, a callee with a non-EPR
+    /// signature, or a cycle in the alternation sort graph. Attached to the
+    /// function, or to the module for an axiom or a cycle.
+    pub const EPR_FRAGMENT: &str = "epr-fragment";
     /// `requires` rejected every probed input; possibly unsatisfiable.
     pub const VACUOUS_REQUIRES: &str = "vacuous-requires";
     /// An `ensures` clause is trivially true (tautology by shape or by
@@ -88,6 +95,7 @@ pub mod ids {
         MISSING_DECREASES,
         DECREASES_UNCHANGED,
         ALTERNATION_CYCLE,
+        EPR_FRAGMENT,
         VACUOUS_REQUIRES,
         TRIVIAL_ENSURES,
         UNUSED_HYPOTHESIS,
@@ -111,6 +119,18 @@ impl LintReport {
         self.diagnostics
             .iter()
             .filter(|d| d.severity == Severity::Error && d.function == fname)
+            .collect()
+    }
+
+    /// Error-severity findings that gate `fname` of `module`: those
+    /// attached to the function, plus the module-level ones (attached to
+    /// the module's name, such as an EPR axiom or sort-graph violation).
+    pub fn gate_errors(&self, module: &str, fname: &str) -> Vec<&Diagnostic> {
+        self.diagnostics
+            .iter()
+            .filter(|d| {
+                d.severity == Severity::Error && (d.function == fname || d.function == module)
+            })
             .collect()
     }
 

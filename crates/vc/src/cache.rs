@@ -31,7 +31,9 @@ use crate::wp::WpResult;
 /// (`ematch_skipped`, `theory_reuse`), and the fingerprint covers the
 /// `batch_kernels` escape hatch (the two paths charge those counters
 /// differently even though every budgeted field is identical).
-pub const CACHE_SCHEMA_VERSION: u32 = 3;
+/// v4: EPR saturation follows each module's `epr_mode` flag, which the
+/// module text already carries; the config's `epr=` component is gone.
+pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 // ----------------------------------------------------------------------
 // Fingerprinting
@@ -51,8 +53,9 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
 ///
 /// Covers, in order: the cache schema version; every solver-relevant knob
 /// of the configuration; the full content of each visible module (module
-/// axioms, datatypes, and function bodies all feed the encoded context —
-/// `Debug` on VIR is structural and deterministic); the function's lint
+/// axioms, datatypes, and function bodies all feed the encoded context,
+/// and its `epr_mode` flag picks the solver mode — `Debug` on VIR is
+/// structural and deterministic); the function's lint
 /// component ([`veris_lint::cache_component`] — findings and `allow`
 /// suppressions, so flipping either invalidates the entry); and the WP
 /// output for the function (goal, hypotheses, invariant markers, side
@@ -68,11 +71,10 @@ pub fn fingerprint(
 ) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={:?};timeout={:?};epr={};mqr={:?};maxgen={:?};provers={};batch={};",
+        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={:?};timeout={:?};mqr={:?};maxgen={:?};provers={};batch={};",
         cfg.style,
         cfg.rlimit,
         cfg.timeout,
-        cfg.epr_mode,
         cfg.max_quant_rounds,
         cfg.smt_max_generation,
         cfg.provers.is_some(),

@@ -29,7 +29,7 @@ pub use verify::{
     ProverRegistry, Status, VcConfig,
 };
 // Observability types surfaced in reports, re-exported for downstream use.
-pub use veris_lint::{lint_krate, LintReport};
+pub use veris_lint::{ids as lint_ids, lint_krate, LintReport};
 pub use veris_obs::{
     LintStats, MeterSnapshot, PhaseTimes, QuantProfile, ResourceMeter, SessionStats, TimeTree,
 };

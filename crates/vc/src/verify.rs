@@ -67,9 +67,6 @@ pub struct VcConfig {
     pub provers: Option<Arc<dyn ProverRegistry>>,
     /// Override the default instantiation-round budget.
     pub max_quant_rounds: Option<usize>,
-    /// Decide queries by EPR saturation instead of e-matching (used by the
-    /// veris-epr crate for `#[epr_mode]` modules).
-    pub epr_mode: bool,
     /// Override the solver's instantiation-generation cap (fuel).
     pub smt_max_generation: Option<u32>,
     /// Per-function resource budget in meter units (the `--rlimit` idiom).
@@ -97,7 +94,6 @@ impl Default for VcConfig {
             timeout: Duration::from_secs(60),
             provers: None,
             max_quant_rounds: None,
-            epr_mode: false,
             smt_max_generation: None,
             rlimit: None,
             cache_dir: None,
@@ -139,7 +135,10 @@ impl VcConfig {
         self
     }
 
-    fn smt_config(&self) -> SmtConfig {
+    /// Solver configuration for a session over a module; `epr_mode` (the
+    /// module's `#[epr_mode]` flag) decides its queries by EPR saturation
+    /// instead of e-matching.
+    fn smt_config(&self, epr_mode: bool) -> SmtConfig {
         let mut c = SmtConfig {
             trigger_policy: if self.style.broad_triggers() {
                 TriggerPolicy::Broad
@@ -161,7 +160,7 @@ impl VcConfig {
         if let Some(g) = self.smt_max_generation {
             c.max_generation = g;
         }
-        if self.epr_mode {
+        if epr_mode {
             c.epr_mode = true;
             c.max_quant_rounds = self.max_quant_rounds.unwrap_or(64);
         }
@@ -525,17 +524,19 @@ fn lint_gate_report(fname: &str, errors: &[&Diagnostic], time: Duration) -> FnRe
 ///
 /// Error-severity lint findings gate the function: it reports `Failed`
 /// before any solver is constructed (same verdict as [`verify_krate`]).
+/// An unknown function name reports `Failed` as well.
 pub fn verify_function(krate: &Krate, fname: &str, cfg: &VcConfig) -> FnReport {
     let t0 = Instant::now();
-    let (module, f) = krate
-        .find_function(fname)
-        .unwrap_or_else(|| panic!("unknown function `{fname}`"));
+    let Some((module, f)) = krate.find_function(fname) else {
+        let status = Status::Failed(format!("unknown function `{fname}`"));
+        return FnReport::empty(fname, status, t0.elapsed());
+    };
     // Nothing to check for trusted or abstract functions.
     if f.trusted || matches!(f.body, FnBody::Abstract) {
         return FnReport::empty(fname, Status::Verified, t0.elapsed());
     }
     let lint = veris_lint::lint_krate(krate);
-    let errors = lint.errors_for(fname);
+    let errors = lint.gate_errors(&module.name, fname);
     if !errors.is_empty() {
         return lint_gate_report(fname, &errors, t0.elapsed());
     }
@@ -545,7 +546,7 @@ pub fn verify_function(krate: &Krate, fname: &str, cfg: &VcConfig) -> FnReport {
     let mut phases = PhaseTimes::default();
     let wp = time(&mut phases.vir, || vc_for_function(krate, f));
     let mut solver = time(&mut phases.smt_init, || {
-        let mut s = Solver::new(cfg.smt_config());
+        let mut s = Solver::new(cfg.smt_config(module.epr_mode));
         s.set_meter(meter.clone());
         s
     });
@@ -701,7 +702,7 @@ impl<'k> ModuleSession<'k> {
     ) -> ModuleSession<'k> {
         let ctx_meter = Arc::new(ResourceMeter::new());
         let mut solver = time(&mut phases.smt_init, || {
-            let mut s = Solver::new(cfg.smt_config());
+            let mut s = Solver::new(cfg.smt_config(module.epr_mode));
             s.set_meter(ctx_meter.clone());
             s
         });
@@ -834,7 +835,7 @@ pub fn verify_krate(krate: &Krate, cfg: &VcConfig, threads: usize) -> KrateRepor
     // Group verifiable functions by module, preserving crate order.
     // Lint-gated functions get a slot but never reach a session.
     let mut groups: Vec<ModuleGroup> = Vec::new();
-    let mut gated: Vec<(usize, String)> = Vec::new();
+    let mut gated: Vec<(usize, FnReport)> = Vec::new();
     let mut slotted: HashSet<&str> = HashSet::new();
     let mut slot = 0usize;
     for module in &krate.modules {
@@ -850,12 +851,12 @@ pub fn verify_krate(krate: &Krate, cfg: &VcConfig, threads: usize) -> KrateRepor
                 (s, f.name.clone())
             })
             .filter(|(s, name)| {
-                if lint.errors_for(name).is_empty() {
-                    true
-                } else {
-                    gated.push((*s, name.clone()));
-                    false
+                let errors = lint.gate_errors(&module.name, name);
+                if errors.is_empty() {
+                    return true;
                 }
+                gated.push((*s, lint_gate_report(name, &errors, Duration::ZERO)));
+                false
             })
             .collect();
         if fns.is_empty() {
@@ -909,9 +910,8 @@ pub fn verify_krate(krate: &Krate, cfg: &VcConfig, threads: usize) -> KrateRepor
         axiom_sets.push(axiomed);
     }
     // Lint-gated slots: `Failed` with the findings, no solver constructed.
-    for (i, fname) in &gated {
-        let errors = lint.errors_for(fname);
-        reports[*i] = Some(lint_gate_report(fname, &errors, Duration::ZERO));
+    for (i, rep) in gated {
+        reports[i] = Some(rep);
     }
     let mut functions: Vec<FnReport> = reports
         .into_iter()

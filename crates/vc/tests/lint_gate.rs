@@ -1,9 +1,11 @@
 //! End-to-end tests for the pre-solver lint gate: error-severity lints
 //! reject a function before any solver is constructed, `allow`
-//! suppressions lift the gate, and the recursive-call `decreases`
-//! obligation added by the WP calculus is actually checked by the solver.
+//! suppressions lift the gate, the recursive-call `decreases` obligation
+//! added by the WP calculus is actually checked by the solver, and an
+//! `epr_mode` module that leaves the EPR fragment is gated like any other
+//! error lint.
 
-use veris_vc::{lint_krate, verify_function, verify_krate, Status, VcConfig};
+use veris_vc::{lint_ids, lint_krate, verify_function, verify_krate, Status, VcConfig};
 use veris_vir::expr::{call, int, ite, var, ExprExt};
 use veris_vir::module::{Function, Krate, Mode, Module};
 use veris_vir::stmt::Stmt;
@@ -147,4 +149,96 @@ fn recursive_proof_fn_with_unsound_decreases_fails_in_solver() {
         "non-decreasing recursion must fail, got {:?}",
         r.status
     );
+}
+
+/// `proof fn nonneg(x: int) { assert(x >= 0 || x < 0) }` — arithmetic that
+/// verifies in default mode but lies outside EPR.
+fn int_module() -> Module {
+    let x = var("x", Ty::Int);
+    let f = Function::new("nonneg", Mode::Proof)
+        .param("x", Ty::Int)
+        .stmts(vec![Stmt::assert(x.ge(int(0)).or(x.lt(int(0))))]);
+    Module::new("arith").func(f)
+}
+
+#[test]
+fn arithmetic_in_epr_module_is_gated_without_a_solver() {
+    let k = Krate::new().module(int_module().epr());
+    let gated = Status::Failed(format!("lint: {}", lint_ids::EPR_FRAGMENT));
+    let report = verify_krate(&k, &VcConfig::default(), 1);
+    let single = verify_function(&k, "nonneg", &VcConfig::default());
+    assert_eq!(report.functions.len(), 1);
+    for f in [&report.functions[0], &single] {
+        assert_eq!(f.status, gated);
+        assert_eq!(f.query_bytes, 0, "no SMT query should have been encoded");
+        assert_eq!(f.rlimit_spent(), 0, "no solver resources should be spent");
+        assert!(f
+            .diagnostics
+            .iter()
+            .all(|d| d.code == lint_ids::EPR_FRAGMENT && d.function == "nonneg"));
+    }
+    // Outside `epr_mode` the same function is ordinary arithmetic.
+    let k = Krate::new().module(int_module());
+    assert!(verify_krate(&k, &VcConfig::default(), 1).all_verified());
+}
+
+/// A module whose spec function `next: A -> A` closes a cycle in the sort
+/// graph, with two proof functions that verify on their own.
+fn cyclic_module() -> Module {
+    let a = Ty::Abstract("A".into());
+    let next = Function::new("next", Mode::Spec)
+        .param("x", a.clone())
+        .returns("r", a.clone());
+    let x = var("x", a.clone());
+    let refl = Function::new("refl", Mode::Proof)
+        .param("x", a.clone())
+        .stmts(vec![Stmt::assert(x.eq_e(x.clone()))]);
+    let step = Function::new("step", Mode::Proof)
+        .param("x", a.clone())
+        .stmts(vec![Stmt::assert(
+            call("next", vec![x.clone()], a.clone()).eq_e(call("next", vec![x], a)),
+        )]);
+    Module::new("cyc").func(next).func(refl).func(step)
+}
+
+#[test]
+fn sort_graph_cycle_gates_every_function_of_an_epr_module() {
+    let k = Krate::new().module(cyclic_module().epr());
+    let lint = lint_krate(&k);
+    assert_eq!(lint.stats.errors, 1, "{:?}", lint.diagnostics);
+    assert_eq!(
+        lint.diagnostics[0].function, "cyc",
+        "a module-level finding"
+    );
+    let report = verify_krate(&k, &VcConfig::default(), 1);
+    let names: Vec<&str> = report.functions.iter().map(|f| f.name.as_str()).collect();
+    assert_eq!(names, ["refl", "step"]);
+    for f in &report.functions {
+        let single = verify_function(&k, &f.name, &VcConfig::default());
+        for r in [f, &single] {
+            assert_eq!(r.status, Status::Failed("lint: epr-fragment".into()));
+            assert_eq!(r.rlimit_spent(), 0);
+        }
+    }
+}
+
+#[test]
+fn sort_graph_cycle_outside_epr_mode_is_only_a_note() {
+    let k = Krate::new().module(cyclic_module());
+    let lint = lint_krate(&k);
+    assert_eq!(lint.stats.errors, 0);
+    assert_eq!(lint.stats.notes, 1);
+    assert_eq!(lint.diagnostics[0].code, lint_ids::ALTERNATION_CYCLE);
+    assert!(verify_krate(&k, &VcConfig::default(), 1).all_verified());
+}
+
+#[test]
+fn unknown_function_fails_instead_of_panicking() {
+    let k = Krate::new().module(int_module());
+    let r = verify_function(&k, "missing", &VcConfig::default());
+    assert_eq!(
+        r.status,
+        Status::Failed("unknown function `missing`".into())
+    );
+    assert_eq!(r.rlimit_spent(), 0);
 }

@@ -23,11 +23,12 @@ fn main() {
     );
     assert!(rep.all_verified());
     let epr = veris_ironkv::model::epr_krate();
-    let erep = veris::veris_epr::verify_epr_module(&epr, "delegation_epr");
+    // The same pipeline: the module's `epr_mode` flag selects saturation.
+    let erep = veris_vc::verify_krate(&epr, &cfg, 1);
     println!(
         "  EPR mode: fragment ok: {}, invariants automatic: {}",
-        erep.fragment_violations.is_empty(),
-        erep.report.all_verified()
+        erep.lint_stats.errors == 0,
+        erep.all_verified()
     );
     assert!(erep.all_verified());
 

@@ -49,12 +49,16 @@ fn every_case_study_model_verifies() {
 
 #[test]
 fn epr_modules_verify_automatically() {
-    let k = veris_ironkv::model::epr_krate();
-    let rep = veris::veris_epr::verify_epr_module(&k, "delegation_epr");
-    assert!(rep.all_verified());
-    let k = veris_collections::distlock::epr_mode_krate();
-    let rep = veris::veris_epr::verify_epr_module(&k, "distlock_epr");
-    assert!(rep.all_verified());
+    // `verify_krate` reads each module's `epr_mode` flag: no EPR-specific
+    // driver or configuration.
+    for k in [
+        veris_ironkv::model::epr_krate(),
+        veris_collections::distlock::epr_mode_krate(),
+    ] {
+        let rep = verify_krate(&k, &VcConfig::default(), 1);
+        assert_eq!(rep.lint_stats.errors, 0, "{:?}", rep.lints);
+        assert!(rep.all_verified(), "{:?}", rep.failures());
+    }
 }
 
 #[test]
