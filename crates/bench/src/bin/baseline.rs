@@ -11,7 +11,10 @@
 //! 1 thread — no wall-clock quantities), including a per-module breakdown
 //! used to schedule module sessions longest-first. `--check` recomputes the
 //! totals and exits 1 if any system's `meter_units` drifts more than 10%
-//! from the committed file; CI runs it as a solver-cost regression tripwire.
+//! from the committed file; CI runs it as the one meter-drift gate. Every
+//! mode first prints a table of the measured totals with the informational
+//! kernel-reuse counters (`ematch_skipped`, `theory_reuse`), which the
+//! committed file leaves out.
 //!
 //! `--cache [DIR]` routes both a cold and a warm run through the
 //! content-addressed VC result cache (default `.veris-cache`), reports
@@ -47,8 +50,8 @@ fn main() {
     }
 
     let rows = if let Some(dir) = &cache {
-        let cold = baseline::measure_cached(Some(dir));
-        let warm = baseline::measure_cached(Some(dir));
+        let cold = baseline::measure(Some(dir));
+        let warm = baseline::measure(Some(dir));
         println!("cold vs warm (cache at {}):", dir.display());
         println!(
             "{:<12} {:>12} {:>6} {:>6} {:>6} {:>6}",
@@ -98,8 +101,9 @@ fn main() {
         // drift against them exercises the cache-serialized counters too.
         warm
     } else {
-        baseline::measure()
+        baseline::measure(None)
     };
+    print!("{}", baseline::render_table(&rows));
     let rendered = baseline::render(&rows);
     let path = baseline::committed_path();
 

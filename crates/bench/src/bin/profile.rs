@@ -15,14 +15,12 @@
 //! 3. the top-k quantifiers by instantiation count;
 //! 4. per-function verdicts with rlimit units spent.
 
-use std::time::Duration;
-
 use veris_bench::casestudy;
-use veris_vc::{verify_krate, Style, VcConfig};
+use veris_vc::{verify_krate, Style, VcConfig, DEFAULT_RLIMIT};
 
 struct Opts {
     system: String,
-    rlimit: Option<u64>,
+    rlimit: u64,
     top: usize,
     threads: usize,
     json: bool,
@@ -40,7 +38,7 @@ fn usage() -> ! {
 fn parse_opts() -> Opts {
     let mut opts = Opts {
         system: String::new(),
-        rlimit: None,
+        rlimit: DEFAULT_RLIMIT,
         top: 10,
         threads: 1,
         json: false,
@@ -50,7 +48,7 @@ fn parse_opts() -> Opts {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--rlimit" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.rlimit = Some(n),
+                Some(n) => opts.rlimit = n,
                 None => usage(),
             },
             "--top" => match args.next().and_then(|v| v.parse().ok()) {
@@ -86,11 +84,8 @@ fn parse_opts() -> Opts {
 fn config(opts: &Opts) -> VcConfig {
     let mut cfg = veris_idioms::config_with_provers();
     cfg.style = Style::Verus;
-    cfg.timeout = Duration::from_secs(20);
     cfg.max_quant_rounds = Some(8);
-    if let Some(n) = opts.rlimit {
-        cfg = cfg.with_rlimit(n);
-    }
+    cfg = cfg.with_rlimit(opts.rlimit);
     if let Some(dir) = &opts.cache {
         cfg = cfg.with_cache_dir(dir.clone());
     }
@@ -129,7 +124,7 @@ fn main() {
             "{{\"schema_version\":{},\"system\":{:?},\"rlimit\":{},\"time\":{},\"meter\":{},\"quantifiers\":{},\"sessions\":{},\"functions\":[{}]}}",
             veris_bench::explain::SCHEMA_VERSION,
             opts.system,
-            opts.rlimit.map_or("null".into(), |n| n.to_string()),
+            opts.rlimit,
             report.time_tree().to_json(),
             report.total_meter().to_json(),
             report.merged_profile().to_json(),
@@ -146,9 +141,7 @@ fn main() {
         opts.threads,
         if opts.threads == 1 { "" } else { "s" }
     );
-    if let Some(n) = opts.rlimit {
-        println!("rlimit: {n} units per function");
-    }
+    println!("rlimit: {} units per function", opts.rlimit);
     println!("\n-- phase times --\n{}", report.time_tree().render());
     println!("-- incremental sessions --\n{}", report.sessions.render());
     if let Some(dir) = &opts.cache {

@@ -26,10 +26,9 @@ use veris_vc::{verify_function, Style, VcConfig};
 fn cfg_for(style: Style) -> VcConfig {
     let mut c = veris_idioms::config_with_provers();
     c.style = style;
-    // Identical bounded budget across styles: reported times are
-    // time-to-verdict-or-budget, so slow encodings saturate rather than
-    // stall the harness.
-    c.timeout = Duration::from_secs(20);
+    // Identical deterministic budget across styles (the default rlimit):
+    // reported times are time-to-verdict-or-budget, so slow encodings
+    // exhaust the rlimit rather than stall the harness.
     c.max_quant_rounds = Some(8);
     c
 }
@@ -39,17 +38,16 @@ fn cfg_for(style: Style) -> VcConfig {
 pub mod fig7a {
     use super::*;
 
-    /// Functions timed per framework: the subset our solver verifies
-    /// outright under the Verus style, so every style is timed on the same
-    /// goals and no row is dominated by equal-budget timeouts (see
-    /// DESIGN.md "known model simplifications" for the excluded proofs).
+    /// Functions timed per framework, the same goals for every style. The
+    /// singly-linked ones verify under the Verus style. `push_back` does
+    /// not verify (DESIGN.md "known model simplifications"), so the Double
+    /// column is mostly the time to exhaust the rlimit, not a verification
+    /// time.
     const SINGLE_FNS: [&str; 4] = ["nonempty_is_cons", "list_new", "push_head", "list_index"];
     const DOUBLE_FNS: [&str; 2] = ["dlist_new", "push_back"];
 
     pub fn measure(style: Style) -> (Duration, Duration) {
-        let mut cfg = cfg_for(style);
-        cfg.max_quant_rounds = Some(8);
-        cfg.timeout = Duration::from_secs(20);
+        let cfg = cfg_for(style);
         // Single: the verifying list functions plus a mutation-heavy usage
         // function (pure constructors alone are too small to separate the
         // encodings; the paper's benchmark exercises the list API with
@@ -654,20 +652,21 @@ pub mod lint {
 /// Deterministic verification-cost baseline over the Fig 9 case studies.
 ///
 /// The committed `BENCH_baseline.json` records, per system, the total
-/// resource-meter units spent verifying at a fixed per-function rlimit
-/// budget (which replaces the wall-clock timeout, so every quantity here
-/// is deterministic). CI recomputes the totals and fails on >10% drift —
-/// a cheap regression tripwire for solver-cost changes that no wall-clock
-/// measurement could give us.
+/// resource-meter units spent verifying at the fixed per-function rlimit
+/// (the only solver budget, so every quantity here is deterministic). CI
+/// recomputes the totals and fails on >10% drift — a cheap regression
+/// tripwire for solver-cost changes that no wall-clock measurement could
+/// give us. The `baseline` bin also prints the informational kernel-reuse
+/// counters, which the committed file leaves out.
 pub mod baseline {
     use super::*;
     use crate::casestudy;
     use std::collections::HashMap;
     use veris_vc::{verify_krate, SessionStats, Status};
 
-    /// Per-function resource budget for the baseline run. Replaces the
-    /// wall-clock timeout so verdicts and counters are deterministic.
-    pub const BASELINE_RLIMIT: u64 = 2_000_000;
+    /// Per-function resource budget for the baseline run: the verifier's
+    /// default rlimit.
+    pub const BASELINE_RLIMIT: u64 = veris_vc::DEFAULT_RLIMIT;
 
     /// Allowed relative drift before `--check` fails, in percent.
     pub const DRIFT_TOLERANCE_PCT: f64 = 10.0;
@@ -681,36 +680,38 @@ pub mod baseline {
         /// Per-module meter totals (crate order). Committed in the baseline
         /// JSON so later runs can schedule module sessions longest-first.
         pub modules: Vec<(String, u64)>,
+        /// Match candidates the e-matching watermark caches served without
+        /// re-running the match (informational, never budgeted).
+        pub ematch_skipped: u64,
+        /// Subterm-registration plans replayed from the theory kernel cache
+        /// (informational, never budgeted).
+        pub theory_reuse: u64,
         /// Incremental-verification counters for this run (sessions opened,
         /// context re-encodings avoided, cache hits/misses). Not committed
         /// to the baseline JSON — reported by the `baseline` bin.
         pub sessions: SessionStats,
     }
 
-    /// Verify every Fig 9 case study at 1 thread under the baseline budget.
-    pub fn measure() -> Vec<SystemCost> {
-        measure_cached(None)
-    }
-
-    /// Like [`measure`], but routing results through the content-addressed
-    /// VC cache rooted at `cache_dir` when given. A second run against the
-    /// same directory is a warm run: every unchanged function is a cache
-    /// hit and the solver is never invoked, while all deterministic
-    /// quantities (meter units, quantifier counts, verdicts) replay
-    /// byte-identically.
-    pub fn measure_cached(cache_dir: Option<&std::path::Path>) -> Vec<SystemCost> {
+    /// Verify every Fig 9 case study at 1 thread under the baseline budget,
+    /// routing results through the content-addressed VC cache rooted at
+    /// `cache_dir` when given. A second run against the same directory is a
+    /// warm run: every unchanged function is a cache hit and the solver is
+    /// never invoked, while all deterministic quantities (meter units,
+    /// quantifier counts, verdicts) replay byte-identically.
+    pub fn measure(cache_dir: Option<&std::path::Path>) -> Vec<SystemCost> {
         casestudy::NAMES
             .iter()
             .map(|&name| {
-                let mut cfg = cfg_for(Style::Verus).with_rlimit(BASELINE_RLIMIT);
+                let mut cfg = cfg_for(Style::Verus);
                 if let Some(dir) = cache_dir {
                     cfg = cfg.with_cache_dir(dir);
                 }
                 let krate = casestudy::krate(name).expect("known case study");
                 let report = verify_krate(&krate, &cfg, 1);
+                let meter = report.total_meter();
                 SystemCost {
                     system: name.to_owned(),
-                    meter_units: report.total_meter().total(),
+                    meter_units: meter.total(),
                     quant_insts: report.merged_profile().total_instantiations(),
                     functions: report.functions.len(),
                     verified: report
@@ -719,6 +720,8 @@ pub mod baseline {
                         .filter(|f| matches!(f.status, Status::Verified))
                         .count(),
                     modules: module_totals(&krate, &report),
+                    ematch_skipped: meter.ematch_skipped,
+                    theory_reuse: meter.theory_reuse,
                     sessions: report.sessions,
                 }
             })
@@ -777,6 +780,28 @@ pub mod baseline {
         )
     }
 
+    /// Human-readable table of `rows`, with the informational kernel-reuse
+    /// counters the committed JSON leaves out.
+    pub fn render_table(rows: &[SystemCost]) -> String {
+        let mut out = format!(
+            "{:<12} {:>12} {:>10} {:>9} {:>13} {:>12}\n",
+            "system", "meter_units", "insts", "verified", "ematch_skip", "theory_reuse"
+        );
+        for r in rows {
+            let _ = writeln!(
+                out,
+                "{:<12} {:>12} {:>10} {:>9} {:>13} {:>12}",
+                r.system,
+                r.meter_units,
+                r.quant_insts,
+                format!("{}/{}", r.verified, r.functions),
+                r.ematch_skipped,
+                r.theory_reuse
+            );
+        }
+        out
+    }
+
     /// Path of the committed baseline file at the repo root.
     pub fn committed_path() -> std::path::PathBuf {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_baseline.json")
@@ -812,9 +837,9 @@ pub mod baseline {
     }
 
     /// Compare fresh `(system, meter_units)` pairs against the committed
-    /// ones (from [`parse_meter_units`] over `BENCH_baseline.json` or
-    /// `BENCH_perf.json`). Returns one human-readable line per violation
-    /// (empty = within tolerance).
+    /// ones (from [`parse_meter_units`] over `BENCH_baseline.json`).
+    /// Returns one human-readable line per violation (empty = within
+    /// tolerance).
     pub fn drift_failures<'a>(
         committed: &[(String, u64)],
         fresh: impl IntoIterator<Item = (&'a str, u64)>,
@@ -886,145 +911,6 @@ pub mod baseline {
             assert_eq!(w2.get("nr"), Some(&5));
             assert!(parse_module_weights(json, "absent").is_none());
         }
-    }
-}
-
-/// Per-system performance record for the incremental solver kernels.
-///
-/// The committed `BENCH_perf.json` records, per system, the deterministic
-/// budgeted meter total (identical to the baseline's — the kernel-parity
-/// invariant), the informational kernel-reuse counters (`ematch_skipped`
-/// match candidates served from e-matching watermarks, `theory_reuse`
-/// registration plans replayed from the theory cache), and an
-/// *informational* wall-clock figure. CI regenerates the file and fails
-/// only on >10% `meter_units` drift, exactly as `baseline --check`; wall
-/// clock and the reuse counters are recorded but never gated.
-pub mod perf {
-    use super::*;
-    use crate::baseline::BASELINE_RLIMIT;
-    use crate::casestudy;
-    use veris_vc::{verify_krate, Status};
-
-    pub struct PerfRow {
-        pub system: String,
-        pub meter_units: u64,
-        pub quant_insts: u64,
-        pub functions: usize,
-        pub verified: usize,
-        /// Match candidates the watermark caches served without re-running
-        /// e-matching (informational; zero under `--batch`).
-        pub ematch_skipped: u64,
-        /// Subterm-registration plans replayed from the theory kernel cache
-        /// instead of re-walking the term DAG (informational; zero under
-        /// `--batch`).
-        pub theory_reuse: u64,
-        /// Wall-clock milliseconds for the crate verification. Recorded for
-        /// the committed file but never part of any check.
-        pub wall_ms: u128,
-    }
-
-    /// Verify the named systems at 1 thread under the baseline rlimit
-    /// budget, recording wall clock alongside the meter totals. `batch`
-    /// forces the pre-incremental kernels (the escape hatch the
-    /// kernel-parity test pins): the reuse counters stay zero while every
-    /// budgeted quantity is identical.
-    pub fn measure_systems(names: &[&str], batch: bool) -> Vec<PerfRow> {
-        names
-            .iter()
-            .map(|&name| {
-                let cfg = cfg_for(Style::Verus)
-                    .with_rlimit(BASELINE_RLIMIT)
-                    .with_batch_kernels(batch);
-                let krate = casestudy::krate(name).expect("known case study");
-                let t0 = Instant::now();
-                let report = verify_krate(&krate, &cfg, 1);
-                let wall_ms = t0.elapsed().as_millis();
-                let m = report.total_meter();
-                PerfRow {
-                    system: name.to_owned(),
-                    meter_units: m.total(),
-                    quant_insts: report.merged_profile().total_instantiations(),
-                    functions: report.functions.len(),
-                    verified: report
-                        .functions
-                        .iter()
-                        .filter(|f| matches!(f.status, Status::Verified))
-                        .count(),
-                    ematch_skipped: m.ematch_skipped,
-                    theory_reuse: m.theory_reuse,
-                    wall_ms,
-                }
-            })
-            .collect()
-    }
-
-    /// [`measure_systems`] over every Fig 9 case study.
-    pub fn measure(batch: bool) -> Vec<PerfRow> {
-        measure_systems(&casestudy::NAMES, batch)
-    }
-
-    /// Render rows as the committed JSON. `meter_units` is deliberately the
-    /// first key of each system object so [`baseline::parse_meter_units`]
-    /// (which scans for `"<name>":{"meter_units":`) works on this file too.
-    pub fn render(rows: &[PerfRow]) -> String {
-        let systems: Vec<String> = rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "\"{}\":{{\"meter_units\":{},\"quant_insts\":{},\"functions\":{},\"verified\":{},\"ematch_skipped\":{},\"theory_reuse\":{},\"wall_ms\":{}}}",
-                    r.system,
-                    r.meter_units,
-                    r.quant_insts,
-                    r.functions,
-                    r.verified,
-                    r.ematch_skipped,
-                    r.theory_reuse,
-                    r.wall_ms
-                )
-            })
-            .collect();
-        format!(
-            "{{\"schema_version\":{},\"rlimit\":{},\"systems\":{{{}}}}}\n",
-            explain::SCHEMA_VERSION,
-            BASELINE_RLIMIT,
-            systems.join(",")
-        )
-    }
-
-    /// Human-readable table of `rows` (optionally paired with a batch run
-    /// for the before/after comparison).
-    pub fn render_table(rows: &[PerfRow], batch: Option<&[PerfRow]>) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<12} {:>12} {:>10} {:>13} {:>12} {:>8}{}",
-            "system",
-            "meter_units",
-            "insts",
-            "ematch_skip",
-            "theory_reuse",
-            "wall_ms",
-            if batch.is_some() { "  batch_ms" } else { "" }
-        );
-        for r in rows {
-            let _ = write!(
-                out,
-                "{:<12} {:>12} {:>10} {:>13} {:>12} {:>8}",
-                r.system, r.meter_units, r.quant_insts, r.ematch_skipped, r.theory_reuse, r.wall_ms
-            );
-            if let Some(b) = batch {
-                if let Some(br) = b.iter().find(|b| b.system == r.system) {
-                    let _ = write!(out, " {:>9}", br.wall_ms);
-                }
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
-
-    /// Path of the committed perf record at the repo root.
-    pub fn committed_path() -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json")
     }
 }
 

@@ -3,7 +3,10 @@
 //! committed golden file exactly. The golden file doubles as the schema
 //! pin — any shape change must bump `explain::SCHEMA_VERSION` and
 //! regenerate it (`cargo run -p veris-bench --bin explain -- diagdemo --json`).
+//! Each case-study system has a golden of its own, regenerated the same way
+//! with the system's name.
 
+use veris_bench::casestudy;
 use veris_bench::explain::{explain_system, SCHEMA_VERSION};
 
 #[test]
@@ -16,6 +19,31 @@ fn explain_json_matches_committed_golden() {
          SCHEMA_VERSION and regenerate crates/bench/tests/golden/explain_diagdemo.json"
     );
     assert!(golden.starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION},")));
+}
+
+/// Every case-study system and the merged EPR models, pinned at 1 thread:
+/// verdicts, unsat cores, diagnostics and meter units per function. A diff
+/// here means a change moved what the verifier reports, not only how fast.
+#[test]
+fn every_system_matches_its_committed_golden() {
+    let goldens = [
+        ("ironkv", include_str!("golden/explain_ironkv.json")),
+        ("nr", include_str!("golden/explain_nr.json")),
+        ("pagetable", include_str!("golden/explain_pagetable.json")),
+        ("mimalloc", include_str!("golden/explain_mimalloc.json")),
+        ("plog", include_str!("golden/explain_plog.json")),
+        ("lists", include_str!("golden/explain_lists.json")),
+        ("epr", include_str!("golden/explain_epr.json")),
+    ];
+    assert_eq!(goldens.len(), casestudy::NAMES.len() + 1);
+    for (system, golden) in goldens {
+        let fresh = explain_system(system, None, 1, true).expect("known system");
+        assert_eq!(
+            fresh, golden,
+            "explain --json for {system} drifted from its golden file; if intentional, \
+             regenerate crates/bench/tests/golden/explain_{system}.json"
+        );
+    }
 }
 
 #[test]

@@ -8,8 +8,6 @@
 //! work, so verdicts, unsat cores, diagnostics, budgeted meter totals, and
 //! instantiation sets/order all replay exactly.
 
-use std::time::Duration;
-
 use veris_bench::baseline::BASELINE_RLIMIT;
 use veris_bench::{casestudy, explain};
 use veris_vc::{verify_krate, KrateReport, Style, VcConfig};
@@ -23,12 +21,11 @@ fn systems() -> Vec<&'static str> {
     names
 }
 
-/// The baseline configuration: deterministic rlimit budget instead of a
-/// wall-clock timeout, so every compared quantity is machine-independent.
+/// The baseline configuration: the deterministic rlimit budget, so every
+/// compared quantity is machine-independent.
 fn cfg(batch: bool) -> VcConfig {
     let mut c = veris_idioms::config_with_provers();
     c.style = Style::Verus;
-    c.timeout = Duration::from_secs(20);
     c.max_quant_rounds = Some(8);
     c.with_rlimit(BASELINE_RLIMIT).with_batch_kernels(batch)
 }

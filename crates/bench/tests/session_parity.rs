@@ -8,8 +8,6 @@
 //! The `#[epr_mode]` models are held to the same contract: each module's
 //! flag picks its own solver mode, in sessions as in fresh solvers.
 
-use std::time::Duration;
-
 use veris_bench::baseline::BASELINE_RLIMIT;
 use veris_bench::casestudy;
 use veris_vc::{verify_function, verify_krate, FnReport, KrateReport, Style, VcConfig};
@@ -28,12 +26,11 @@ fn systems() -> Vec<&'static str> {
     names
 }
 
-/// The baseline configuration: deterministic rlimit budget instead of a
-/// wall-clock timeout, so every compared quantity is machine-independent.
+/// The baseline configuration: the deterministic rlimit budget, so every
+/// compared quantity is machine-independent.
 fn cfg() -> VcConfig {
     let mut c = veris_idioms::config_with_provers();
     c.style = Style::Verus;
-    c.timeout = Duration::from_secs(20);
     c.max_quant_rounds = Some(8);
     c.with_rlimit(BASELINE_RLIMIT)
 }

@@ -266,13 +266,15 @@ mod tests {
     /// solver needs a full e-graph — see DESIGN.md "known model
     /// simplifications"). Soundness is still checked: within the budget the
     /// solver must never produce a *counterexample* for these valid
-    /// obligations.
+    /// obligations. Each rlimit covers the units a debug build explored
+    /// under the 30 s wall clock these tests used to run on (4.30M for
+    /// `push_back`, 3.44M for `pop_front`).
     #[test]
     fn push_back_is_never_refuted() {
         let k = doubly_list_krate();
         let mut cfg = config_with_provers();
         cfg.max_quant_rounds = Some(6);
-        cfg.timeout = std::time::Duration::from_secs(30);
+        cfg.rlimit = 4_500_000;
         let r = verify_function(&k, "push_back", &cfg);
         assert!(
             !matches!(r.status, veris_vc::Status::Failed(ref m) if !m.contains("possible")),
@@ -286,7 +288,7 @@ mod tests {
         let k = doubly_list_krate();
         let mut cfg = config_with_provers();
         cfg.max_quant_rounds = Some(6);
-        cfg.timeout = std::time::Duration::from_secs(30);
+        cfg.rlimit = 3_500_000;
         let r = verify_function(&k, "pop_front", &cfg);
         assert!(
             !matches!(r.status, veris_vc::Status::Failed(ref m) if !m.contains("possible")),

@@ -4,7 +4,9 @@
 //! (paper §3.3 — the CRC-table motivation).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use veris_obs::ResourceMeter;
 use veris_smt::solver::{Config, SmtResult, Solver};
 use veris_vc::ctx::EncCtx;
 use veris_vir::expr::{Expr, ExprX};
@@ -52,8 +54,13 @@ pub fn partial_eval(krate: &Krate, e: &Expr) -> Expr {
     rebuilt
 }
 
-/// Prove an assertion by computation, falling back to SMT on the residual.
-pub fn prove_compute(krate: &Krate, e: &Expr) -> ComputeOutcome {
+/// Prove an assertion by computation, falling back to SMT on the residual;
+/// the residual query charges `meter` (the calling function's budget).
+pub fn prove_compute(
+    krate: &Krate,
+    e: &Expr,
+    meter: Option<&Arc<ResourceMeter>>,
+) -> ComputeOutcome {
     let simplified = partial_eval(krate, e);
     match &*simplified {
         ExprX::BoolLit(true) => return ComputeOutcome::Proved,
@@ -62,6 +69,9 @@ pub fn prove_compute(krate: &Krate, e: &Expr) -> ComputeOutcome {
     }
     // Residual: ordinary (isolated) SMT query.
     let mut solver = Solver::new(Config::default());
+    if let Some(m) = meter {
+        solver.set_meter(m.clone());
+    }
     let mut ctx = EncCtx::new(krate);
     let empty = HashMap::new();
     let goal = ctx.encode_expr(&mut solver, &simplified, &empty);
@@ -86,9 +96,9 @@ mod tests {
     fn closed_arithmetic() {
         let k = Krate::new();
         let e = int(2).mul(int(21)).eq_e(int(42));
-        assert_eq!(prove_compute(&k, &e), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
         let bad = int(2).mul(int(21)).eq_e(int(43));
-        assert_eq!(prove_compute(&k, &bad), ComputeOutcome::Refuted);
+        assert_eq!(prove_compute(&k, &bad, None), ComputeOutcome::Refuted);
     }
 
     #[test]
@@ -109,7 +119,7 @@ mod tests {
             ));
         let k = Krate::new().module(Module::new("m").func(fib));
         let e = call("fib", vec![int(10)], Ty::Int).eq_e(int(55));
-        assert_eq!(prove_compute(&k, &e), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
     }
 
     #[test]
@@ -133,7 +143,7 @@ mod tests {
         let e = x
             .ge(int(0))
             .implies(x.add(call("fib", vec![int(5)], Ty::Int)).ge(int(5)));
-        assert_eq!(prove_compute(&k, &e), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
     }
 
     #[test]
@@ -152,6 +162,6 @@ mod tests {
             checks.push(call("square_of", vec![int(idx as i128)], Ty::Int).eq_e(int(v)));
         }
         let e = veris_vir::expr::and_all(checks);
-        assert_eq!(prove_compute(&k, &e), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
     }
 }

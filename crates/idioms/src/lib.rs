@@ -26,13 +26,14 @@ use veris_vir::stmt::Prover;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StdProvers;
 
-impl StdProvers {
-    fn dispatch(
+impl ProverRegistry for StdProvers {
+    fn prove(
         &self,
         krate: &Krate,
         ob: &SideObligation,
-        meter: Option<&std::sync::Arc<veris_obs::ResourceMeter>>,
+        meter: &std::sync::Arc<veris_obs::ResourceMeter>,
     ) -> ProverOutcome {
+        let meter = Some(meter);
         match ob.prover {
             Prover::Default => {
                 ProverOutcome::Unknown("default prover routed as side obligation".into())
@@ -45,7 +46,7 @@ impl StdProvers {
                 Ok(bitvec::BvOutcome::Unknown(r)) => ProverOutcome::Unknown(r),
                 Err(e) => ProverOutcome::Unknown(format!("not bit-blastable: {e:?}")),
             },
-            Prover::NonlinearArith => match nonlinear::prove_nonlinear(krate, &ob.expr) {
+            Prover::NonlinearArith => match nonlinear::prove_nonlinear(krate, &ob.expr, meter) {
                 nonlinear::NlOutcome::Proved => ProverOutcome::Proved,
                 nonlinear::NlOutcome::Refuted(r) => ProverOutcome::Failed(r),
                 nonlinear::NlOutcome::Unknown(r) => ProverOutcome::Unknown(r),
@@ -58,7 +59,7 @@ impl StdProvers {
                 ring::RingOutcome::Unsupported(r) => ProverOutcome::Unknown(r),
                 ring::RingOutcome::Unknown(r) => ProverOutcome::Unknown(r),
             },
-            Prover::Compute => match compute::prove_compute(krate, &ob.expr) {
+            Prover::Compute => match compute::prove_compute(krate, &ob.expr, meter) {
                 compute::ComputeOutcome::Proved => ProverOutcome::Proved,
                 compute::ComputeOutcome::Refuted => {
                     ProverOutcome::Failed("evaluates to false".into())
@@ -66,21 +67,6 @@ impl StdProvers {
                 compute::ComputeOutcome::Unknown(r) => ProverOutcome::Unknown(r),
             },
         }
-    }
-}
-
-impl ProverRegistry for StdProvers {
-    fn prove(&self, krate: &Krate, ob: &SideObligation) -> ProverOutcome {
-        self.dispatch(krate, ob, None)
-    }
-
-    fn prove_metered(
-        &self,
-        krate: &Krate,
-        ob: &SideObligation,
-        meter: &std::sync::Arc<veris_obs::ResourceMeter>,
-    ) -> ProverOutcome {
-        self.dispatch(krate, ob, Some(meter))
     }
 }
 

@@ -6,7 +6,9 @@
 //! DPLL(T) pipeline.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
+use veris_obs::ResourceMeter;
 use veris_smt::solver::{Config, SmtResult, Solver};
 use veris_smt::term::{TermId, TermKind};
 use veris_vc::ctx::EncCtx;
@@ -21,9 +23,13 @@ pub enum NlOutcome {
     Unknown(String),
 }
 
-/// Prove a boolean VIR expression with non-linear lemma support.
-pub fn prove_nonlinear(krate: &Krate, e: &Expr) -> NlOutcome {
+/// Prove a boolean VIR expression with non-linear lemma support, charging
+/// `meter` (the calling function's budget) for the solver's work.
+pub fn prove_nonlinear(krate: &Krate, e: &Expr, meter: Option<&Arc<ResourceMeter>>) -> NlOutcome {
     let mut solver = Solver::new(Config::default());
+    if let Some(m) = meter {
+        solver.set_meter(m.clone());
+    }
     let mut ctx = EncCtx::new(krate);
     let empty = HashMap::new();
     let goal = ctx.encode_expr(&mut solver, e, &empty);
@@ -200,19 +206,17 @@ mod tests {
 
     #[test]
     fn paper_example() {
-        // q > 2 ==> (a*a + 1) * q >= (a*a + 1) * 2
-        let q = var("q", Ty::Int);
-        let a = var("a", Ty::Int);
-        let aa1 = a.mul(a.clone()).add(int(1));
-        let e = q.gt(int(2)).implies(aa1.mul(q.clone()).ge(aa1.mul(int(2))));
-        assert_eq!(prove_nonlinear(&krate(), &e), NlOutcome::Proved);
+        assert_eq!(
+            prove_nonlinear(&krate(), &paper_goal(), None),
+            NlOutcome::Proved
+        );
     }
 
     #[test]
     fn square_nonneg() {
         let x = var("x", Ty::Int);
         let e = x.mul(x.clone()).ge(int(0));
-        assert_eq!(prove_nonlinear(&krate(), &e), NlOutcome::Proved);
+        assert_eq!(prove_nonlinear(&krate(), &e, None), NlOutcome::Proved);
     }
 
     #[test]
@@ -223,7 +227,7 @@ mod tests {
             .ge(int(0))
             .and(y.ge(int(0)))
             .implies(x.mul(y.clone()).ge(int(0)));
-        assert_eq!(prove_nonlinear(&krate(), &e), NlOutcome::Proved);
+        assert_eq!(prove_nonlinear(&krate(), &e, None), NlOutcome::Proved);
     }
 
     #[test]
@@ -234,7 +238,7 @@ mod tests {
         let z = var("z", Ty::Int);
         let hyp = int(0).le(x.clone()).and(x.le(y.clone())).and(z.ge(int(0)));
         let e = hyp.implies(x.mul(z.clone()).le(y.mul(z.clone())));
-        assert_eq!(prove_nonlinear(&krate(), &e), NlOutcome::Proved);
+        assert_eq!(prove_nonlinear(&krate(), &e, None), NlOutcome::Proved);
     }
 
     #[test]
@@ -243,11 +247,37 @@ mod tests {
         let x = var("x", Ty::Int);
         let y = var("y", Ty::Int);
         let e = x.mul(y.clone()).ge(int(0));
-        let r = prove_nonlinear(&krate(), &e);
+        let r = prove_nonlinear(&krate(), &e, None);
         assert!(
             !matches!(r, NlOutcome::Proved),
             "must not prove a false claim: {r:?}"
         );
+    }
+
+    fn paper_goal() -> Expr {
+        // q > 2 ==> (a*a + 1) * q >= (a*a + 1) * 2
+        let q = var("q", Ty::Int);
+        let a = var("a", Ty::Int);
+        let aa1 = a.mul(a.clone()).add(int(1));
+        q.gt(int(2)).implies(aa1.mul(q.clone()).ge(aa1.mul(int(2))))
+    }
+
+    #[test]
+    fn metered_proof_charges_the_meter() {
+        let meter = Arc::new(ResourceMeter::with_limit(Some(1_000_000)));
+        let r = prove_nonlinear(&krate(), &paper_goal(), Some(&meter));
+        assert_eq!(r, NlOutcome::Proved);
+        assert!(meter.spent() > 0, "the solver's work must be charged");
+    }
+
+    #[test]
+    fn exhausted_meter_is_unknown_not_proved() {
+        let meter = Arc::new(ResourceMeter::with_limit(Some(1)));
+        meter.charge(veris_obs::Counter::SatConflicts, 2);
+        match prove_nonlinear(&krate(), &paper_goal(), Some(&meter)) {
+            NlOutcome::Unknown(r) => assert!(r.contains("resource limit exceeded"), "{r}"),
+            other => panic!("an exhausted budget must not prove: {other:?}"),
+        }
     }
 
     #[test]
@@ -259,7 +289,7 @@ mod tests {
         let a = var("a", Ty::Int);
         let aa1 = a.mul(a.clone()).add(int(1));
         let e = aa1.mul(q.clone()).ge(aa1.mul(int(2)));
-        let r = prove_nonlinear(&krate(), &e);
+        let r = prove_nonlinear(&krate(), &e, None);
         assert!(!matches!(r, NlOutcome::Proved), "missing premise: {r:?}");
     }
 }

@@ -128,19 +128,17 @@ pub enum FinalCheck {
     Restart,
 }
 
-/// Resource limits for the SAT search.
+/// Resource limits for the SAT search. The deterministic budget is the
+/// solver's resource meter; the conflict cap bounds unmetered searches.
 #[derive(Clone, Copy, Debug)]
 pub struct SatLimits {
     pub max_conflicts: u64,
-    /// Wall-clock deadline; checked periodically during search.
-    pub deadline: Option<std::time::Instant>,
 }
 
 impl Default for SatLimits {
     fn default() -> Self {
         SatLimits {
             max_conflicts: 2_000_000,
-            deadline: None,
         }
     }
 }
@@ -707,13 +705,6 @@ impl SatSolver {
                     m.charge(Counter::SatConflicts, 1);
                     if m.check("sat") {
                         return SatResult::Unknown;
-                    }
-                }
-                if self.conflicts.is_multiple_of(256) {
-                    if let Some(d) = limits.deadline {
-                        if std::time::Instant::now() > d {
-                            return SatResult::Unknown;
-                        }
                     }
                 }
                 let (learnt, bt) = self.analyze(conflict);

@@ -11,7 +11,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use veris_obs::{Counter, QuantProfile, ResourceMeter};
 
@@ -141,7 +140,6 @@ pub struct Config {
     /// further if g < max_generation. Bounds recursive definitional
     /// unfolding so rounds converge.
     pub max_generation: u32,
-    pub timeout: Option<Duration>,
     /// Escape hatch: rebuild the e-matching class index and the theory
     /// context registration from scratch on every round / final check (the
     /// pre-incremental kernels). Verdicts, cores, and explain/profile bytes
@@ -160,7 +158,6 @@ impl Default for Config {
             epr_mode: false,
             trigger_policy: TriggerPolicy::Minimal,
             max_generation: 4,
-            timeout: Some(Duration::from_secs(60)),
             batch_kernels: false,
         }
     }
@@ -909,14 +906,8 @@ impl Solver {
             );
         }
         let assumptions: Vec<Lit> = self.hypotheses.iter().map(|&(_, l)| l).collect();
-        let deadline = self.config.timeout.map(|d| Instant::now() + d);
         let max_rounds = self.config.max_quant_rounds;
         for _round in 0..=max_rounds {
-            if let Some(d) = deadline {
-                if Instant::now() > d {
-                    return SmtResult::Unknown("timeout".into());
-                }
-            }
             if let Some(m) = &self.meter {
                 if m.check("solver") {
                     return SmtResult::Unknown(m.exhaustion_message());
@@ -935,9 +926,7 @@ impl Solver {
                 let meter = self.meter.clone();
                 let theory_cache = &mut self.theory_cache;
                 let batch = self.config.batch_kernels;
-                let mut limits = self.config.sat_limits;
-                limits.deadline = deadline;
-                sat.solve_with_assumptions(limits, &assumptions, |satref| {
+                sat.solve_with_assumptions(self.config.sat_limits, &assumptions, |satref| {
                     stats.final_checks += 1;
                     match theory_final_check(
                         store,
@@ -982,7 +971,10 @@ impl Solver {
                             return SmtResult::Unknown(m.exhaustion_message());
                         }
                     }
-                    return SmtResult::Unknown("sat budget exceeded".into());
+                    return SmtResult::Unknown(format!(
+                        "sat conflict limit exceeded (max_conflicts={})",
+                        self.config.sat_limits.max_conflicts
+                    ));
                 }
                 SatResult::Sat => {
                     if theory_unknown {

@@ -883,3 +883,49 @@ fn push_pop_exact_replay_matches_fresh_solver() {
     assert_eq!(format!("{:?}", fresh.stats), format!("{:?}", session.stats));
     assert_eq!(fresh.hypothesis_labels(), session.hypothesis_labels());
 }
+
+/// Assert the pigeonhole CNF for `pigeons` pigeons in `pigeons - 1` holes:
+/// unsat, but only after many conflicts.
+fn assert_pigeonhole(s: &mut Solver, pigeons: usize) {
+    let holes = pigeons - 1;
+    let b = s.store.bool_sort();
+    let p: Vec<Vec<TermId>> = (0..pigeons)
+        .map(|i| {
+            (0..holes)
+                .map(|j| s.store.mk_var(&format!("p{i}_{j}"), b))
+                .collect()
+        })
+        .collect();
+    for row in &p {
+        let some_hole = s.store.mk_or(row.clone());
+        s.assert(some_hole);
+    }
+    for (i, a) in p.iter().enumerate() {
+        for b in &p[i + 1..] {
+            for (&x, &y) in a.iter().zip(b) {
+                let nx = s.store.mk_not(x);
+                let ny = s.store.mk_not(y);
+                let one = s.store.mk_or(vec![nx, ny]);
+                s.assert(one);
+            }
+        }
+    }
+}
+
+#[test]
+fn conflict_cap_names_the_limit() {
+    let mut capped = Solver::new(Config {
+        sat_limits: veris_smt::sat::SatLimits { max_conflicts: 2 },
+        ..Config::default()
+    });
+    assert_pigeonhole(&mut capped, 5);
+    match capped.check() {
+        SmtResult::Unknown(r) => {
+            assert_eq!(r, "sat conflict limit exceeded (max_conflicts=2)")
+        }
+        other => panic!("expected the conflict cap to fire, got {other:?}"),
+    }
+    let mut full = solver();
+    assert_pigeonhole(&mut full, 5);
+    assert_unsat(&mut full);
+}

@@ -33,7 +33,10 @@ use crate::wp::WpResult;
 /// differently even though every budgeted field is identical).
 /// v4: EPR saturation follows each module's `epr_mode` flag, which the
 /// module text already carries; the config's `epr=` component is gone.
-pub const CACHE_SCHEMA_VERSION: u32 = 4;
+/// v5: the wall-clock timeout is gone, so the `timeout=` component is too;
+/// the rlimit is always set, and custom provers charge the function's
+/// meter.
+pub const CACHE_SCHEMA_VERSION: u32 = 5;
 
 // ----------------------------------------------------------------------
 // Fingerprinting
@@ -71,10 +74,9 @@ pub fn fingerprint(
 ) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={:?};timeout={:?};mqr={:?};maxgen={:?};provers={};batch={};",
+        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={};mqr={:?};maxgen={:?};provers={};batch={};",
         cfg.style,
         cfg.rlimit,
-        cfg.timeout,
         cfg.max_quant_rounds,
         cfg.smt_max_generation,
         cfg.provers.is_some(),

@@ -5,8 +5,8 @@
 //! Observability: each function gets its own [`ResourceMeter`] (so verdicts
 //! are independent of thread count), phase timing spans (vir lowering,
 //! encoding, solver init, solve), and a quantifier-instantiation profile.
-//! Setting [`VcConfig::rlimit`] bounds solver work by deterministic
-//! counters instead of wall-clock; runaway queries come back as
+//! [`VcConfig::rlimit`] bounds solver work by deterministic counters, never
+//! by wall-clock; runaway queries come back as
 //! `Status::Unknown("resource limit exceeded (...)")` at the same point on
 //! every machine.
 
@@ -45,34 +45,35 @@ pub enum ProverOutcome {
 /// Registry of custom provers (`by(bit_vector)` etc.), supplied by the
 /// idioms crate to avoid a dependency cycle.
 pub trait ProverRegistry: Send + Sync {
-    fn prove(&self, krate: &Krate, ob: &SideObligation) -> ProverOutcome;
-
-    /// Like [`ProverRegistry::prove`], with a resource meter the prover may
-    /// charge (bit-blast clauses, SAT work). The default ignores the meter.
-    fn prove_metered(
+    /// Discharge `ob`, charging the function's resource meter for the work
+    /// (bit-blast clauses, SAT and theory steps), so a custom prover runs
+    /// under the same rlimit as the main query.
+    fn prove(
         &self,
         krate: &Krate,
         ob: &SideObligation,
-        _meter: &Arc<ResourceMeter>,
-    ) -> ProverOutcome {
-        self.prove(krate, ob)
-    }
+        meter: &Arc<ResourceMeter>,
+    ) -> ProverOutcome;
 }
+
+/// Default per-function resource budget in meter units: enough for every
+/// case-study proof that verifies (the largest spends about 35k units).
+pub const DEFAULT_RLIMIT: u64 = 2_000_000;
 
 /// Verification configuration.
 #[derive(Clone)]
 pub struct VcConfig {
     pub style: Style,
-    pub timeout: Duration,
     pub provers: Option<Arc<dyn ProverRegistry>>,
     /// Override the default instantiation-round budget.
     pub max_quant_rounds: Option<usize>,
     /// Override the solver's instantiation-generation cap (fuel).
     pub smt_max_generation: Option<u32>,
-    /// Per-function resource budget in meter units (the `--rlimit` idiom).
-    /// When set, the wall-clock timeout is disabled so the verdict depends
-    /// only on deterministic counters.
-    pub rlimit: Option<u64>,
+    /// Per-function resource budget in meter units (the `--rlimit` idiom),
+    /// [`DEFAULT_RLIMIT`] unless set. It is the only budget: no clock
+    /// bounds a query, so the verdict depends only on deterministic
+    /// counters.
+    pub rlimit: u64,
     /// Directory of the content-addressed VC result cache (`.veris-cache`).
     /// `None` disables caching; only [`verify_krate`] consults it.
     pub cache_dir: Option<PathBuf>,
@@ -91,11 +92,10 @@ impl Default for VcConfig {
     fn default() -> Self {
         VcConfig {
             style: Style::Verus,
-            timeout: Duration::from_secs(60),
             provers: None,
             max_quant_rounds: None,
             smt_max_generation: None,
-            rlimit: None,
+            rlimit: DEFAULT_RLIMIT,
             cache_dir: None,
             module_weights: None,
             batch_kernels: false,
@@ -113,7 +113,7 @@ impl VcConfig {
 
     /// Builder: set the deterministic per-function resource budget.
     pub fn with_rlimit(mut self, rlimit: u64) -> VcConfig {
-        self.rlimit = Some(rlimit);
+        self.rlimit = rlimit;
         self
     }
 
@@ -144,13 +144,6 @@ impl VcConfig {
                 TriggerPolicy::Broad
             } else {
                 TriggerPolicy::Minimal
-            },
-            // rlimit replaces the wall-clock deadline: the budget is checked
-            // at deterministic program points, so exhaustion is reproducible.
-            timeout: if self.rlimit.is_some() {
-                None
-            } else {
-                Some(self.timeout)
             },
             ..SmtConfig::default()
         };
@@ -445,7 +438,7 @@ fn check_function(
             }
             Some(reg) => {
                 for ob in &wp.side_obligations {
-                    match reg.prove_metered(krate, ob, meter) {
+                    match reg.prove(krate, ob, meter) {
                         ProverOutcome::Proved => {}
                         ProverOutcome::Failed(msg) => {
                             status = Status::Failed(format!("{}: {msg}", ob.label));
@@ -542,7 +535,7 @@ pub fn verify_function(krate: &Krate, fname: &str, cfg: &VcConfig) -> FnReport {
     }
     // One meter per function: charges are independent of how many sibling
     // functions run concurrently, so rlimit verdicts survive `threads = N`.
-    let meter = Arc::new(ResourceMeter::with_limit(cfg.rlimit));
+    let meter = Arc::new(ResourceMeter::with_limit(Some(cfg.rlimit)));
     let mut phases = PhaseTimes::default();
     let wp = time(&mut phases.vir, || vc_for_function(krate, f));
     let mut solver = time(&mut phases.smt_init, || {
@@ -731,7 +724,7 @@ impl<'k> ModuleSession<'k> {
         t0: Instant,
         mut phases: PhaseTimes,
     ) -> FnReport {
-        let meter = Arc::new(ResourceMeter::with_limit(cfg.rlimit));
+        let meter = Arc::new(ResourceMeter::with_limit(Some(cfg.rlimit)));
         meter.precharge(&self.ctx_cost);
         self.solver.set_meter(meter.clone());
         self.solver.push();

@@ -15,7 +15,6 @@ fn main() {
     let krate = veris_collections::model::singly_list_krate();
     let mut cfg = veris::veris_idioms::config_with_provers();
     cfg.max_quant_rounds = Some(8);
-    cfg.timeout = std::time::Duration::from_secs(30);
 
     println!("== verifying the linked-list model (Figure 2 flavor) ==");
     let report = veris_vc::verify_krate(&krate, &cfg, 1);

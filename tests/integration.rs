@@ -2,8 +2,6 @@
 //! case-study models, the executable systems agreeing with their verified
 //! specs, and the encoding styles showing the paper's qualitative ordering.
 
-use std::time::Duration;
-
 use veris::prelude::*;
 
 fn std_cfg() -> VcConfig {
@@ -35,7 +33,6 @@ fn every_case_study_model_verifies() {
         assert!(errs.is_empty(), "{name}: type errors {errs:?}");
         let mut cfg = cfg.clone();
         cfg.max_quant_rounds = Some(8);
-        cfg.timeout = Duration::from_secs(45);
         let rep = veris_vc::verify_krate(&k, &cfg, 2);
         for f in &rep.functions {
             // pop_tail: known automation-budget limitation (DESIGN.md).
@@ -76,7 +73,6 @@ fn styles_preserve_verdicts_on_case_study() {
     for style in [Style::Verus, Style::CreusotLike, Style::PrustiLike] {
         let mut cfg = std_cfg();
         cfg.style = style;
-        cfg.timeout = Duration::from_secs(120);
         let r = veris_vc::verify_function(&k, "push_head", &cfg);
         assert!(r.status.is_verified(), "{style:?}: {:?}", r.status);
     }
@@ -92,7 +88,6 @@ fn verus_query_is_smaller_than_baselines() {
     let rv = veris_vc::verify_function(&k, "memory_ops", &verus);
     let mut dafny = std_cfg();
     dafny.style = Style::DafnyLike;
-    dafny.timeout = Duration::from_secs(120);
     let rd = veris_vc::verify_function(&k, "memory_ops", &dafny);
     assert!(rv.status.is_verified());
     assert!(
