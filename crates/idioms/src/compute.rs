@@ -56,11 +56,7 @@ pub fn partial_eval(krate: &Krate, e: &Expr) -> Expr {
 
 /// Prove an assertion by computation, falling back to SMT on the residual;
 /// the residual query charges `meter` (the calling function's budget).
-pub fn prove_compute(
-    krate: &Krate,
-    e: &Expr,
-    meter: Option<&Arc<ResourceMeter>>,
-) -> ComputeOutcome {
+pub fn prove_compute(krate: &Krate, e: &Expr, meter: &Arc<ResourceMeter>) -> ComputeOutcome {
     let simplified = partial_eval(krate, e);
     match &*simplified {
         ExprX::BoolLit(true) => return ComputeOutcome::Proved,
@@ -69,9 +65,7 @@ pub fn prove_compute(
     }
     // Residual: ordinary (isolated) SMT query.
     let mut solver = Solver::new(Config::default());
-    if let Some(m) = meter {
-        solver.set_meter(m.clone());
-    }
+    solver.set_meter(meter.clone());
     let mut ctx = EncCtx::new(krate);
     let empty = HashMap::new();
     let goal = ctx.encode_expr(&mut solver, &simplified, &empty);
@@ -92,13 +86,20 @@ mod tests {
     use veris_vir::expr::{call, int, var, ExprExt};
     use veris_vir::module::{Function, Mode, Module};
 
+    fn unlimited() -> Arc<ResourceMeter> {
+        Arc::new(ResourceMeter::new())
+    }
+
     #[test]
     fn closed_arithmetic() {
         let k = Krate::new();
         let e = int(2).mul(int(21)).eq_e(int(42));
-        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, &unlimited()), ComputeOutcome::Proved);
         let bad = int(2).mul(int(21)).eq_e(int(43));
-        assert_eq!(prove_compute(&k, &bad, None), ComputeOutcome::Refuted);
+        assert_eq!(
+            prove_compute(&k, &bad, &unlimited()),
+            ComputeOutcome::Refuted
+        );
     }
 
     #[test]
@@ -119,7 +120,7 @@ mod tests {
             ));
         let k = Krate::new().module(Module::new("m").func(fib));
         let e = call("fib", vec![int(10)], Ty::Int).eq_e(int(55));
-        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, &unlimited()), ComputeOutcome::Proved);
     }
 
     #[test]
@@ -143,7 +144,7 @@ mod tests {
         let e = x
             .ge(int(0))
             .implies(x.add(call("fib", vec![int(5)], Ty::Int)).ge(int(5)));
-        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, &unlimited()), ComputeOutcome::Proved);
     }
 
     #[test]
@@ -162,6 +163,6 @@ mod tests {
             checks.push(call("square_of", vec![int(idx as i128)], Ty::Int).eq_e(int(v)));
         }
         let e = veris_vir::expr::and_all(checks);
-        assert_eq!(prove_compute(&k, &e, None), ComputeOutcome::Proved);
+        assert_eq!(prove_compute(&k, &e, &unlimited()), ComputeOutcome::Proved);
     }
 }

@@ -33,19 +33,20 @@ impl ProverRegistry for StdProvers {
         ob: &SideObligation,
         meter: &std::sync::Arc<veris_obs::ResourceMeter>,
     ) -> ProverOutcome {
-        let meter = Some(meter);
         match ob.prover {
             Prover::Default => {
                 ProverOutcome::Unknown("default prover routed as side obligation".into())
             }
-            Prover::BitVector => match bitvec::prove_bit_vector_metered(&ob.expr, meter.cloned()) {
-                Ok(bitvec::BvOutcome::Proved) => ProverOutcome::Proved,
-                Ok(bitvec::BvOutcome::Refuted(cex)) => {
-                    ProverOutcome::Failed(format!("bit-vector counterexample: {cex:?}"))
+            Prover::BitVector => {
+                match bitvec::prove_bit_vector_metered(&ob.expr, Some(meter.clone())) {
+                    Ok(bitvec::BvOutcome::Proved) => ProverOutcome::Proved,
+                    Ok(bitvec::BvOutcome::Refuted(cex)) => {
+                        ProverOutcome::Failed(format!("bit-vector counterexample: {cex:?}"))
+                    }
+                    Ok(bitvec::BvOutcome::Unknown(r)) => ProverOutcome::Unknown(r),
+                    Err(e) => ProverOutcome::Unknown(format!("not bit-blastable: {e:?}")),
                 }
-                Ok(bitvec::BvOutcome::Unknown(r)) => ProverOutcome::Unknown(r),
-                Err(e) => ProverOutcome::Unknown(format!("not bit-blastable: {e:?}")),
-            },
+            }
             Prover::NonlinearArith => match nonlinear::prove_nonlinear(krate, &ob.expr, meter) {
                 nonlinear::NlOutcome::Proved => ProverOutcome::Proved,
                 nonlinear::NlOutcome::Refuted(r) => ProverOutcome::Failed(r),

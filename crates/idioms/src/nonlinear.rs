@@ -25,11 +25,9 @@ pub enum NlOutcome {
 
 /// Prove a boolean VIR expression with non-linear lemma support, charging
 /// `meter` (the calling function's budget) for the solver's work.
-pub fn prove_nonlinear(krate: &Krate, e: &Expr, meter: Option<&Arc<ResourceMeter>>) -> NlOutcome {
+pub fn prove_nonlinear(krate: &Krate, e: &Expr, meter: &Arc<ResourceMeter>) -> NlOutcome {
     let mut solver = Solver::new(Config::default());
-    if let Some(m) = meter {
-        solver.set_meter(m.clone());
-    }
+    solver.set_meter(meter.clone());
     let mut ctx = EncCtx::new(krate);
     let empty = HashMap::new();
     let goal = ctx.encode_expr(&mut solver, e, &empty);
@@ -204,10 +202,14 @@ mod tests {
         Krate::new()
     }
 
+    fn unlimited() -> Arc<ResourceMeter> {
+        Arc::new(ResourceMeter::new())
+    }
+
     #[test]
     fn paper_example() {
         assert_eq!(
-            prove_nonlinear(&krate(), &paper_goal(), None),
+            prove_nonlinear(&krate(), &paper_goal(), &unlimited()),
             NlOutcome::Proved
         );
     }
@@ -216,7 +218,10 @@ mod tests {
     fn square_nonneg() {
         let x = var("x", Ty::Int);
         let e = x.mul(x.clone()).ge(int(0));
-        assert_eq!(prove_nonlinear(&krate(), &e, None), NlOutcome::Proved);
+        assert_eq!(
+            prove_nonlinear(&krate(), &e, &unlimited()),
+            NlOutcome::Proved
+        );
     }
 
     #[test]
@@ -227,7 +232,10 @@ mod tests {
             .ge(int(0))
             .and(y.ge(int(0)))
             .implies(x.mul(y.clone()).ge(int(0)));
-        assert_eq!(prove_nonlinear(&krate(), &e, None), NlOutcome::Proved);
+        assert_eq!(
+            prove_nonlinear(&krate(), &e, &unlimited()),
+            NlOutcome::Proved
+        );
     }
 
     #[test]
@@ -238,7 +246,10 @@ mod tests {
         let z = var("z", Ty::Int);
         let hyp = int(0).le(x.clone()).and(x.le(y.clone())).and(z.ge(int(0)));
         let e = hyp.implies(x.mul(z.clone()).le(y.mul(z.clone())));
-        assert_eq!(prove_nonlinear(&krate(), &e, None), NlOutcome::Proved);
+        assert_eq!(
+            prove_nonlinear(&krate(), &e, &unlimited()),
+            NlOutcome::Proved
+        );
     }
 
     #[test]
@@ -247,7 +258,7 @@ mod tests {
         let x = var("x", Ty::Int);
         let y = var("y", Ty::Int);
         let e = x.mul(y.clone()).ge(int(0));
-        let r = prove_nonlinear(&krate(), &e, None);
+        let r = prove_nonlinear(&krate(), &e, &unlimited());
         assert!(
             !matches!(r, NlOutcome::Proved),
             "must not prove a false claim: {r:?}"
@@ -265,7 +276,7 @@ mod tests {
     #[test]
     fn metered_proof_charges_the_meter() {
         let meter = Arc::new(ResourceMeter::with_limit(Some(1_000_000)));
-        let r = prove_nonlinear(&krate(), &paper_goal(), Some(&meter));
+        let r = prove_nonlinear(&krate(), &paper_goal(), &meter);
         assert_eq!(r, NlOutcome::Proved);
         assert!(meter.spent() > 0, "the solver's work must be charged");
     }
@@ -274,7 +285,7 @@ mod tests {
     fn exhausted_meter_is_unknown_not_proved() {
         let meter = Arc::new(ResourceMeter::with_limit(Some(1)));
         meter.charge(veris_obs::Counter::SatConflicts, 2);
-        match prove_nonlinear(&krate(), &paper_goal(), Some(&meter)) {
+        match prove_nonlinear(&krate(), &paper_goal(), &meter) {
             NlOutcome::Unknown(r) => assert!(r.contains("resource limit exceeded"), "{r}"),
             other => panic!("an exhausted budget must not prove: {other:?}"),
         }
@@ -289,7 +300,7 @@ mod tests {
         let a = var("a", Ty::Int);
         let aa1 = a.mul(a.clone()).add(int(1));
         let e = aa1.mul(q.clone()).ge(aa1.mul(int(2)));
-        let r = prove_nonlinear(&krate(), &e, None);
+        let r = prove_nonlinear(&krate(), &e, &unlimited());
         assert!(!matches!(r, NlOutcome::Proved), "missing premise: {r:?}");
     }
 }

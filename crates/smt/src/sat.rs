@@ -129,7 +129,10 @@ pub enum FinalCheck {
 }
 
 /// Resource limits for the SAT search. The deterministic budget is the
-/// solver's resource meter; the conflict cap bounds unmetered searches.
+/// solver's resource meter; the conflict cap is only a backstop for
+/// unmetered (test) solvers. Every conflict charges the meter at least one
+/// unit, so a metered search at an rlimit up to the cap (the default
+/// rlimit included) runs out of meter before it reaches the cap.
 #[derive(Clone, Copy, Debug)]
 pub struct SatLimits {
     pub max_conflicts: u64,
