@@ -1,12 +1,13 @@
-//! Kernel parity: the incremental solver kernels (watermark e-matching,
-//! merge-log class index, persistent theory registration/decomposition
-//! caches) must be *invisible* in every deterministic quantity. For each
-//! example system this pins byte-identical `explain --json` and profile
-//! output between the incremental kernels and the `batch_kernels` escape
-//! hatch (which forces the pre-incremental rebuild-every-round behavior),
-//! at 1 thread and at 8 — the incremental kernels may skip only uncharged
-//! work, so verdicts, unsat cores, diagnostics, budgeted meter totals, and
-//! instantiation sets/order all replay exactly.
+//! Kernel parity: the incremental e-matching kernel (watermark e-matching,
+//! merge-log class index) must be *invisible* in every deterministic
+//! quantity. For each example system this pins byte-identical `explain
+//! --json` and profile output between the incremental kernel and the
+//! `batch_kernels` escape hatch (which forces the pre-incremental
+//! rebuild-every-round e-matching), at 1 thread and at 8 — the incremental
+//! kernel may skip only uncharged work, so verdicts, unsat cores,
+//! diagnostics, budgeted meter totals, and instantiation sets/order all
+//! replay exactly. The theories have a single path (they follow the SAT
+//! trail either way), so `theory_reuse` is zero on both sides.
 
 use veris_bench::baseline::BASELINE_RLIMIT;
 use veris_bench::{casestudy, explain};

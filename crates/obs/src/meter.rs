@@ -40,8 +40,10 @@ pub enum Counter {
     /// Trigger-match candidates served from the watermark e-matching cache
     /// instead of being re-enumerated. Informational: never budgeted.
     EmatchSkipped,
-    /// Theory-registration plans replayed from the persistent kernel cache
-    /// instead of re-traversing atom subterms. Informational: never budgeted.
+    /// Theory-registration plans replayed from a per-check kernel cache.
+    /// No longer charged: the theories now follow the SAT trail instead of
+    /// being rebuilt per final check. The slot stays so the snapshot field
+    /// keeps its readers. Informational: never budgeted.
     TheoryReuse,
 }
 

@@ -1,11 +1,19 @@
 //! Congruence closure for equality and uninterpreted functions, with
-//! conflict explanations (Nieuwenhuis–Oliveras proof-forest style).
+//! conflict explanations (Nieuwenhuis–Oliveras proof-forest style) and an
+//! undo trail, so the closure can follow a backtracking search.
 //!
 //! The engine is deliberately decoupled from [`crate::term::TermStore`]: the
 //! SMT layer registers nodes with an opaque `tag` (operator identity) and
 //! child list, then asserts equalities/disequalities labeled with the SAT
 //! literal that caused them. On conflict, `explain` yields the set of
 //! responsible literals, which the solver negates into a learned clause.
+//!
+//! Backtracking follows Nieuwenhuis and Oliveras, "Fast congruence closure
+//! and extensions" (2007): every node stores its class root directly, and
+//! a merge relabels the smaller class, so `find` needs no path compression
+//! and a merge is undone by relabeling the same members back. Nodes are
+//! never removed; only merges and disequalities are undone, back to a
+//! [`EufMark`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -38,21 +46,53 @@ struct Node {
     children: Vec<NodeId>,
 }
 
+/// What one merge changed, so [`Euf::undo`] can take it back.
+struct MergeRecord {
+    /// The proof-forest edge the merge added.
+    edge: (NodeId, NodeId),
+    keep: NodeId,
+    lose: NodeId,
+    /// Length of `keep`'s use list before the merge.
+    keep_uses: usize,
+    /// `keep`'s shared node before the merge.
+    keep_shared: Option<NodeId>,
+    /// Length of the signature log before the merge.
+    sigs: usize,
+}
+
+/// A point to undo back to (see [`Euf::mark`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EufMark {
+    merges: usize,
+    diseqs: usize,
+}
+
 /// Congruence closure engine.
 pub struct Euf {
     nodes: Vec<Node>,
-    /// Union-find parent; roots point to themselves.
-    uf: Vec<NodeId>,
-    rank: Vec<u32>,
+    /// Class root of every node.
+    root: Vec<NodeId>,
+    /// Circular list through the members of each class.
+    next: Vec<NodeId>,
+    /// For roots: class size.
+    size: Vec<u32>,
     /// Proof forest: edge toward the merge partner with its reason.
     pf_parent: Vec<Option<(NodeId, Reason)>>,
     /// For roots: compound nodes with a child in this class.
     use_list: Vec<Vec<NodeId>>,
     /// Signature table: (tag, child roots) -> representative compound node.
     sig_table: HashMap<(u64, Vec<NodeId>), NodeId>,
+    /// Signatures inserted by merges, in order, for undo.
+    sig_log: Vec<(u64, Vec<NodeId>)>,
     /// Disequalities: (a, b, literal).
     diseqs: Vec<(NodeId, NodeId, Lit)>,
     pending: Vec<(NodeId, NodeId, Reason)>,
+    /// For roots: a member marked shared with another theory (see
+    /// [`Euf::set_shared`]).
+    shared: Vec<Option<NodeId>>,
+    /// Pairs of shared nodes whose classes merged, not yet taken.
+    shared_eqs: Vec<(NodeId, NodeId)>,
+    trail: Vec<MergeRecord>,
     /// Optional resource meter; union-find merges are charged to it.
     meter: Option<Arc<ResourceMeter>>,
 }
@@ -67,13 +107,18 @@ impl Euf {
     pub fn new() -> Euf {
         Euf {
             nodes: Vec::new(),
-            uf: Vec::new(),
-            rank: Vec::new(),
+            root: Vec::new(),
+            next: Vec::new(),
+            size: Vec::new(),
             pf_parent: Vec::new(),
             use_list: Vec::new(),
             sig_table: HashMap::new(),
+            sig_log: Vec::new(),
             diseqs: Vec::new(),
             pending: Vec::new(),
+            shared: Vec::new(),
+            shared_eqs: Vec::new(),
+            trail: Vec::new(),
             meter: None,
         }
     }
@@ -85,15 +130,19 @@ impl Euf {
 
     /// Register a node. `tag` identifies the operator (two nodes are
     /// congruent when tags and child classes match); leaves use a unique tag
-    /// per leaf and empty children.
+    /// per leaf and empty children. Nodes are never undone, so register
+    /// them only while every merge made so far is permanent (no mark will
+    /// undo below it).
     pub fn add_node(&mut self, tag: u64, children: Vec<NodeId>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         let nkids = children.len();
         self.nodes.push(Node { tag, children });
-        self.uf.push(id);
-        self.rank.push(0);
+        self.root.push(id);
+        self.next.push(id);
+        self.size.push(1);
         self.pf_parent.push(None);
         self.use_list.push(Vec::new());
+        self.shared.push(None);
         if nkids > 0 {
             for i in 0..nkids {
                 let c = self.nodes[id.0 as usize].children[i];
@@ -117,31 +166,36 @@ impl Euf {
         self.nodes.len()
     }
 
-    fn signature(&mut self, n: NodeId) -> (u64, Vec<NodeId>) {
-        // Index loop instead of cloning the child vector: signatures are
-        // recomputed on every merge re-hash, so this runs hot.
-        let nkids = self.nodes[n.0 as usize].children.len();
-        let mut roots = Vec::with_capacity(nkids);
-        for i in 0..nkids {
-            let c = self.nodes[n.0 as usize].children[i];
-            roots.push(self.find(c));
+    /// Mark `n` as shared with another theory: whenever the classes of two
+    /// shared nodes merge, the pair is queued for [`Euf::take_shared_eqs`].
+    /// One shared node per class is enough to tie every shared member of
+    /// the class together, so the pairs form a spanning tree of each class.
+    pub fn set_shared(&mut self, n: NodeId) {
+        let r = self.find(n).0 as usize;
+        match self.shared[r] {
+            None => self.shared[r] = Some(n),
+            Some(x) if x != n => self.shared_eqs.push((x, n)),
+            Some(_) => {}
         }
-        (self.nodes[n.0 as usize].tag, roots)
     }
 
-    /// Find with path compression. (Path compression is safe alongside the
-    /// proof forest because explanations use `pf_parent`, not `uf`.)
-    pub fn find(&mut self, n: NodeId) -> NodeId {
-        let p = self.uf[n.0 as usize];
-        if p == n {
-            return n;
-        }
-        let root = self.find(p);
-        self.uf[n.0 as usize] = root;
-        root
+    /// Shared-node pairs whose classes merged since the last call, in merge
+    /// order.
+    pub fn take_shared_eqs(&mut self) -> Vec<(NodeId, NodeId)> {
+        std::mem::take(&mut self.shared_eqs)
     }
 
-    pub fn same_class(&mut self, a: NodeId, b: NodeId) -> bool {
+    fn signature(&self, n: NodeId) -> (u64, Vec<NodeId>) {
+        let node = &self.nodes[n.0 as usize];
+        let roots = node.children.iter().map(|&c| self.find(c)).collect();
+        (node.tag, roots)
+    }
+
+    pub fn find(&self, n: NodeId) -> NodeId {
+        self.root[n.0 as usize]
+    }
+
+    pub fn same_class(&self, a: NodeId, b: NodeId) -> bool {
         self.find(a) == self.find(b)
     }
 
@@ -156,12 +210,21 @@ impl Euf {
     /// Process pending merges; returns a conflict if the closure is
     /// inconsistent with an asserted disequality.
     pub fn propagate(&mut self) -> Result<(), EufConflict> {
+        self.close();
+        self.check_diseqs()
+    }
+
+    /// Process pending merges (and the congruences they cause).
+    pub fn close(&mut self) {
         while let Some((a, b, reason)) = self.pending.pop() {
             self.merge(a, b, reason);
         }
-        // Check disequalities.
-        for i in 0..self.diseqs.len() {
-            let (a, b, lit) = self.diseqs[i];
+    }
+
+    /// The first asserted disequality whose sides are in one class, as a
+    /// conflict.
+    pub fn check_diseqs(&self) -> Result<(), EufConflict> {
+        for &(a, b, lit) in &self.diseqs {
             if self.find(a) == self.find(b) {
                 let mut lits = self.explain(a, b);
                 lits.push(lit);
@@ -171,6 +234,51 @@ impl Euf {
             }
         }
         Ok(())
+    }
+
+    /// The current state, to return to with [`Euf::undo`]. Pending merges
+    /// must have been processed.
+    pub fn mark(&self) -> EufMark {
+        debug_assert!(self.pending.is_empty(), "mark with pending merges");
+        EufMark {
+            merges: self.trail.len(),
+            diseqs: self.diseqs.len(),
+        }
+    }
+
+    /// Undo every merge and disequality made since `mark`, newest first.
+    pub fn undo(&mut self, mark: EufMark) {
+        self.pending.clear();
+        self.shared_eqs.clear();
+        self.diseqs.truncate(mark.diseqs);
+        while self.trail.len() > mark.merges {
+            let rec = self.trail.pop().expect("trail above mark");
+            for sig in self.sig_log.drain(rec.sigs..) {
+                self.sig_table.remove(&sig);
+            }
+            let (keep, lose) = (rec.keep.0 as usize, rec.lose.0 as usize);
+            self.use_list[keep].truncate(rec.keep_uses);
+            self.shared[keep] = rec.keep_shared;
+            self.size[keep] -= self.size[lose];
+            self.next.swap(keep, lose);
+            let mut m = rec.lose;
+            loop {
+                self.root[m.0 as usize] = rec.lose;
+                m = self.next[m.0 as usize];
+                if m == rec.lose {
+                    break;
+                }
+            }
+            // Later merges may have re-rooted the proof tree, so the edge
+            // can point either way; there is only one edge between the two.
+            let (a, b) = rec.edge;
+            if matches!(self.pf_parent[a.0 as usize], Some((p, _)) if p == b) {
+                self.pf_parent[a.0 as usize] = None;
+            } else {
+                debug_assert!(matches!(self.pf_parent[b.0 as usize], Some((p, _)) if p == a));
+                self.pf_parent[b.0 as usize] = None;
+            }
+        }
     }
 
     fn merge(&mut self, a: NodeId, b: NodeId, reason: Reason) {
@@ -187,26 +295,47 @@ impl Euf {
         self.pf_reroot(a);
         self.pf_parent[a.0 as usize] = Some((b, reason));
 
-        // Union by rank; keep the smaller use list to re-process.
-        let (keep, lose) = if self.rank[ra.0 as usize] >= self.rank[rb.0 as usize] {
+        // Union by size: relabel the smaller class.
+        let (keep, lose) = if self.size[ra.0 as usize] >= self.size[rb.0 as usize] {
             (ra, rb)
         } else {
             (rb, ra)
         };
-        if self.rank[keep.0 as usize] == self.rank[lose.0 as usize] {
-            self.rank[keep.0 as usize] += 1;
+        self.trail.push(MergeRecord {
+            edge: (a, b),
+            keep,
+            lose,
+            keep_uses: self.use_list[keep.0 as usize].len(),
+            keep_shared: self.shared[keep.0 as usize],
+            sigs: self.sig_log.len(),
+        });
+        let mut m = lose;
+        loop {
+            self.root[m.0 as usize] = keep;
+            m = self.next[m.0 as usize];
+            if m == lose {
+                break;
+            }
         }
-        self.uf[lose.0 as usize] = keep;
-        // Re-hash compound nodes that used the losing class.
-        let uses = std::mem::take(&mut self.use_list[lose.0 as usize]);
-        for u in uses {
+        self.next.swap(keep.0 as usize, lose.0 as usize);
+        self.size[keep.0 as usize] += self.size[lose.0 as usize];
+        match (self.shared[keep.0 as usize], self.shared[lose.0 as usize]) {
+            (Some(x), Some(y)) => self.shared_eqs.push((x, y)),
+            (None, y) => self.shared[keep.0 as usize] = y,
+            _ => {}
+        }
+        // Re-hash compound nodes that used the losing class. Its use list
+        // stays as it is, so undo only truncates the keeper's.
+        for i in 0..self.use_list[lose.0 as usize].len() {
+            let u = self.use_list[lose.0 as usize][i];
             let sig = self.signature(u);
             if let Some(&other) = self.sig_table.get(&sig) {
                 if self.find(other) != self.find(u) {
                     self.pending.push((u, other, Reason::Congruence(u, other)));
                 }
             } else {
-                self.sig_table.insert(sig, u);
+                self.sig_table.insert(sig.clone(), u);
+                self.sig_log.push(sig);
             }
             self.use_list[keep.0 as usize].push(u);
         }
@@ -234,7 +363,7 @@ impl Euf {
     ///
     /// # Panics
     /// Panics if `a` and `b` are not in the same class.
-    pub fn explain(&mut self, a: NodeId, b: NodeId) -> Vec<Lit> {
+    pub fn explain(&self, a: NodeId, b: NodeId) -> Vec<Lit> {
         debug_assert!(self.find(a) == self.find(b));
         let mut out = Vec::new();
         let mut queue = vec![(a, b)];
@@ -265,10 +394,8 @@ impl Euf {
                     match reason {
                         Some(Reason::Literal(l)) => out.push(l),
                         Some(Reason::Congruence(u, v)) => {
-                            let len = self.nodes[u.0 as usize].children.len();
-                            for i in 0..len {
-                                let cx = self.nodes[u.0 as usize].children[i];
-                                let cy = self.nodes[v.0 as usize].children[i];
+                            let (cu, cv) = (&self.nodes[u.0 as usize], &self.nodes[v.0 as usize]);
+                            for (&cx, &cy) in cu.children.iter().zip(&cv.children) {
                                 queue.push((cx, cy));
                             }
                         }
@@ -300,18 +427,6 @@ impl Euf {
             }
         }
         out
-    }
-
-    /// All current classes as (root, members) — used for model construction
-    /// and model-based theory combination.
-    pub fn classes(&mut self) -> HashMap<NodeId, Vec<NodeId>> {
-        let mut map: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-        for i in 0..self.nodes.len() {
-            let n = NodeId(i as u32);
-            let r = self.find(n);
-            map.entry(r).or_default().push(n);
-        }
-        map
     }
 }
 

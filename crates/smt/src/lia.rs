@@ -7,7 +7,13 @@
 //!
 //! Arithmetic uses `i128` rationals with gcd normalization; overflow is
 //! detected and surfaced as [`LiaOutcome::Unknown`] rather than silently
-//! wrapping, so `Unsat` answers are always trustworthy.
+//! wrapping, so `Unsat` answers are always trustworthy. After an overflow
+//! the state may be inconsistent; the caller must stop using it.
+//!
+//! Backtracking follows Dutertre and de Moura (CAV 2006): the tableau and
+//! the assignment persist, and [`Lia::undo`] restores only bounds. Every
+//! nonbasic variable's value lies within its bounds, and relaxing a bound
+//! keeps it there, so the tableau needs no repair after an undo.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -159,6 +165,10 @@ pub enum LiaOutcome {
     Unknown,
 }
 
+/// A point to undo back to (see [`Lia::mark`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LiaMark(usize);
+
 /// Simplex state. Cloneable so branch-and-bound can snapshot.
 #[derive(Clone)]
 pub struct Lia {
@@ -178,6 +188,8 @@ pub struct Lia {
     /// Is this var required to be integral? (All real columns are; slacks of
     /// integer combos are too.)
     is_int: Vec<bool>,
+    /// Bound changes, oldest first: (var, upper?, previous bound).
+    bound_log: Vec<(usize, bool, Option<Bound>)>,
     /// Optional resource meter. `Arc`-shared so branch-and-bound clones keep
     /// charging the same account.
     meter: Option<Arc<ResourceMeter>>,
@@ -201,6 +213,7 @@ impl Lia {
             basic_in: Vec::new(),
             combos: HashMap::new(),
             is_int: Vec::new(),
+            bound_log: Vec::new(),
             meter: None,
         }
     }
@@ -208,6 +221,24 @@ impl Lia {
     /// Attach a resource meter; pivots and branch splits are charged to it.
     pub fn set_meter(&mut self, meter: Arc<ResourceMeter>) {
         self.meter = Some(meter);
+    }
+
+    /// The current bounds, to return to with [`Lia::undo`].
+    pub fn mark(&self) -> LiaMark {
+        LiaMark(self.bound_log.len())
+    }
+
+    /// Restore every bound changed since `mark`. Columns, rows and the
+    /// assignment stay.
+    pub fn undo(&mut self, mark: LiaMark) {
+        while self.bound_log.len() > mark.0 {
+            let (v, upper, old) = self.bound_log.pop().expect("log above mark");
+            if upper {
+                self.upper[v] = old;
+            } else {
+                self.lower[v] = old;
+            }
+        }
     }
 
     pub fn new_var(&mut self) -> LVar {
@@ -278,6 +309,17 @@ impl Lia {
             return (combo.to_vec(), 1);
         }
         (combo.iter().map(|&(c, v)| (c / g, v)).collect(), g)
+    }
+
+    /// Create the column a later bound on `Σ coeff*var` will use (a slack
+    /// row for a combination of two or more terms), so rows can be made
+    /// before any bound is asserted.
+    pub fn register(&mut self, combo: &[(i128, LVar)]) -> Result<(), Overflow> {
+        if !combo.is_empty() {
+            let (combo, _) = Self::gcd_reduce(combo);
+            self.target_var(&combo)?;
+        }
+        Ok(())
     }
 
     /// Assert `Σ coeff*var <= bound` tagged with `lit`.
@@ -354,6 +396,7 @@ impl Lia {
                 return Ok(Some(lits));
             }
         }
+        self.bound_log.push((v, true, self.upper[v]));
         self.upper[v] = Some(Bound {
             value: b,
             reason: lit,
@@ -383,6 +426,7 @@ impl Lia {
                 return Ok(Some(lits));
             }
         }
+        self.bound_log.push((v, false, self.lower[v]));
         self.lower[v] = Some(Bound {
             value: b,
             reason: lit,
@@ -567,6 +611,9 @@ impl Lia {
     }
 
     /// Full check: rational feasibility then branch-and-bound integrality.
+    /// The pivots of the rational check persist; branching works on
+    /// clones, which are dropped, so the bounds here are only the asserted
+    /// ones.
     pub fn check(&mut self, max_branch_nodes: usize) -> LiaOutcome {
         let mut budget = max_branch_nodes;
         match self.check_bb(&mut budget, 0) {
@@ -608,7 +655,6 @@ impl Lia {
             None => left.check_bb(budget, depth + 1)?,
         };
         if let LiaOutcome::Sat(_) = left_out {
-            *self = left;
             return Ok(left_out);
         }
         // Branch x >= ceil(val).
@@ -619,10 +665,7 @@ impl Lia {
             None => right.check_bb(budget, depth + 1)?,
         };
         match (left_out, right_out) {
-            (_, LiaOutcome::Sat(m)) => {
-                *self = right;
-                Ok(LiaOutcome::Sat(m))
-            }
+            (_, LiaOutcome::Sat(m)) => Ok(LiaOutcome::Sat(m)),
             (LiaOutcome::Unsat(mut a), LiaOutcome::Unsat(b)) => {
                 a.extend(b);
                 a.sort_unstable();
@@ -633,7 +676,9 @@ impl Lia {
         }
     }
 
-    /// Current rational value of a variable (valid after a Sat check).
+    /// Current rational value of a variable: after a Sat check, the
+    /// relaxation's value, which branch-and-bound may have moved in the
+    /// returned model.
     pub fn value(&self, v: LVar) -> Rat {
         self.beta[v.0 as usize]
     }

@@ -5,7 +5,10 @@
 //! variables and clauses may be added between `solve` calls (the solver
 //! backtracks to level 0 first), and the caller supplies a *final-check*
 //! callback invoked on every full assignment; the callback either accepts
-//! the model or returns a conflict clause to learn.
+//! the model or returns a conflict clause, which is learnt like a Boolean
+//! conflict (backjump, then keep searching). A callback that keeps state
+//! per trail literal asks [`SatSolver::stable_prefix`] how much of the
+//! trail survived since its previous call.
 //!
 //! When a [`ResourceMeter`] is attached, the search charges conflicts,
 //! decisions, and propagations to it, and aborts with `Unknown` once the
@@ -123,9 +126,6 @@ pub enum FinalCheck {
     /// Learn this clause (must be false under the current assignment) and
     /// continue searching.
     Conflict(Vec<Lit>),
-    /// New clauses were added out-of-band (e.g., quantifier instances);
-    /// restart the search loop.
-    Restart,
 }
 
 /// Resource limits for the SAT search. The deterministic budget is the
@@ -162,6 +162,9 @@ pub struct SatSolver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
+    /// Lowest trail length since the final-check callback last returned:
+    /// `trail[..trail_low]` is unchanged since then.
+    trail_low: usize,
     activity: Vec<f64>,
     var_inc: f64,
     /// Binary heap order is approximated with a simple scan + cache; for our
@@ -202,6 +205,7 @@ impl SatSolver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
+            trail_low: 0,
             activity: Vec::new(),
             var_inc: 1.0,
             heap: Vec::new(),
@@ -270,6 +274,7 @@ impl SatSolver {
         self.trail = frame.trail;
         self.trail_lim = frame.trail_lim;
         self.qhead = frame.qhead;
+        self.trail_low = 0;
         self.activity = frame.activity;
         self.var_inc = frame.var_inc;
         self.heap = frame.heap;
@@ -314,6 +319,17 @@ impl SatSolver {
 
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
+    }
+
+    /// The assignment stack, in assignment order.
+    pub fn trail(&self) -> &[Lit] {
+        &self.trail
+    }
+
+    /// Length of the trail prefix that is unchanged since the final-check
+    /// callback last returned (0 before the first call and after a `pop`).
+    pub fn stable_prefix(&self) -> usize {
+        self.trail_low
     }
 
     /// Add a clause. May be called between (or during, via final check)
@@ -548,6 +564,7 @@ impl SatSolver {
         self.trail.truncate(target);
         self.trail_lim.truncate(level as usize);
         self.qhead = self.trail.len();
+        self.trail_low = self.trail_low.min(target);
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -691,7 +708,7 @@ impl SatSolver {
             self.root_conflict = true;
             return SatResult::Unsat;
         }
-        let mut conflicts_at_start = self.conflicts;
+        let conflicts_at_start = self.conflicts;
         let mut luby_idx = 1u64;
         let mut next_restart = self.conflicts + RESTART_UNIT * luby(luby_idx);
         loop {
@@ -711,14 +728,7 @@ impl SatSolver {
                     }
                 }
                 let (learnt, bt) = self.analyze(conflict);
-                self.backtrack_to(bt);
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], None);
-                } else {
-                    let uip = learnt[0];
-                    let cref = self.attach_clause(learnt);
-                    self.enqueue(uip, Some(cref));
-                }
+                self.learn(learnt, bt);
                 self.decay_var();
             } else {
                 if self.conflicts >= next_restart {
@@ -757,11 +767,11 @@ impl SatSolver {
                 match self.pick_branch() {
                     None => {
                         // Full assignment: ask the theories.
-                        match final_check(self) {
+                        let verdict = final_check(self);
+                        self.trail_low = self.trail.len();
+                        match verdict {
                             FinalCheck::Consistent => return SatResult::Sat,
                             FinalCheck::Conflict(clause) => {
-                                // The clause must be false under the current
-                                // assignment. Learn it and backtrack.
                                 debug_assert!(
                                     clause.iter().all(|&l| self.value(l) == LBool::False),
                                     "theory conflict clause must be falsified"
@@ -776,23 +786,8 @@ impl SatSolver {
                                         return SatResult::Unknown;
                                     }
                                 }
-                                if clause.is_empty() {
+                                if !self.learn_theory_conflict(clause) {
                                     self.root_conflict = true;
-                                    return SatResult::Unsat;
-                                }
-                                // Restart to the root so the learned theory
-                                // clause is attached with sound watches; the
-                                // clause excludes the current model, so the
-                                // search makes progress.
-                                self.backtrack_to(0);
-                                if !self.add_clause(clause) {
-                                    return SatResult::Unsat;
-                                }
-                                conflicts_at_start = conflicts_at_start.min(self.conflicts);
-                            }
-                            FinalCheck::Restart => {
-                                self.backtrack_to(0);
-                                if self.root_conflict {
                                     return SatResult::Unsat;
                                 }
                             }
@@ -808,6 +803,57 @@ impl SatSolver {
                     }
                 }
             }
+        }
+    }
+
+    /// Learn a falsified theory clause and backjump. Level-0 literals are
+    /// dropped; an empty clause is a root conflict (returns false) and a
+    /// unit is asserted at level 0. When one literal sits at the clause's
+    /// top level, the clause is asserting: backjump to the second-highest
+    /// level and assert that literal. Otherwise backtrack to the top level
+    /// and run the clause through first-UIP analysis like any conflict.
+    fn learn_theory_conflict(&mut self, mut clause: Vec<Lit>) -> bool {
+        clause.retain(|&l| self.level[l.var().0 as usize] > 0);
+        clause.sort_unstable();
+        clause.dedup();
+        // Highest level first; ties keep literal order (determinism).
+        clause.sort_by_key(|&l| std::cmp::Reverse(self.level[l.var().0 as usize]));
+        let level_of = |s: &Self, i: usize| s.level[clause[i].var().0 as usize];
+        match clause.len() {
+            0 => return false,
+            1 => {
+                self.backtrack_to(0);
+                self.enqueue(clause[0], None);
+                return true;
+            }
+            _ => {}
+        }
+        let top = level_of(self, 0);
+        let second = level_of(self, 1);
+        if second < top {
+            self.backtrack_to(second);
+            let asserting = clause[0];
+            let cref = self.attach_clause(clause);
+            self.enqueue(asserting, Some(cref));
+        } else {
+            self.backtrack_to(top);
+            let conflict = self.attach_clause(clause);
+            let (learnt, bt) = self.analyze(conflict);
+            self.learn(learnt, bt);
+        }
+        self.decay_var();
+        true
+    }
+
+    /// Backjump to `bt` and assert the first-UIP literal of `learnt`.
+    fn learn(&mut self, learnt: Vec<Lit>, bt: u32) {
+        self.backtrack_to(bt);
+        if learnt.len() == 1 {
+            self.enqueue(learnt[0], None);
+        } else {
+            let uip = learnt[0];
+            let cref = self.attach_clause(learnt);
+            self.enqueue(uip, Some(cref));
         }
     }
 

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use veris_obs::{Counter, QuantProfile, ResourceMeter};
 
-use crate::euf::{Euf, NodeId};
-use crate::lia::{LVar, Lia, LiaOutcome};
+use crate::euf::{Euf, EufMark, NodeId};
+use crate::lia::{LVar, Lia, LiaMark, LiaOutcome, Overflow};
 use crate::quant::{
     assemble_group, enumerate_matches, infer_triggers, match_group, match_step, pattern_head,
     ClassIndex, PatternHead, TriggerPolicy,
@@ -93,33 +93,6 @@ struct EmatchState {
     quants: HashMap<TermId, QuantEmatch>,
 }
 
-/// Value-independent per-atom kernels cached across final checks: the
-/// flattened subterm-registration plan, the dispatch shape, and the linear
-/// decomposition rows. All three are pure functions of the term store, so
-/// replaying them against a fresh `TheoryCtx` reproduces the batch
-/// computation — same nodes, same order, same meter charges — while
-/// skipping the per-check DAG re-traversal and `TermKind` clones.
-#[derive(Default)]
-struct TheoryKernelCache {
-    reg: HashMap<TermId, Vec<TermId>>,
-    dispatch: HashMap<TermId, AtomDispatch>,
-    decomp: HashMap<TermId, (i128, Vec<(i128, TermId)>)>,
-}
-
-/// How `theory_final_check` routes one atom (pure function of its kind).
-#[derive(Clone, Copy)]
-enum AtomDispatch {
-    Eq {
-        a: TermId,
-        b: TermId,
-        int: bool,
-    },
-    Le0(TermId),
-    /// Boolean-sorted application / datatype tester: merge with TRUE/FALSE.
-    BoolMerge,
-    Skip,
-}
-
 /// Solver configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -140,11 +113,11 @@ pub struct Config {
     /// further if g < max_generation. Bounds recursive definitional
     /// unfolding so rounds converge.
     pub max_generation: u32,
-    /// Escape hatch: rebuild the e-matching class index and the theory
-    /// context registration from scratch on every round / final check (the
-    /// pre-incremental kernels). Verdicts, cores, and explain/profile bytes
-    /// are identical either way — the kernel-parity test enforces it — but
-    /// the batch path redoes work the incremental path skips.
+    /// Escape hatch: rebuild the e-matching class index from scratch every
+    /// round (the pre-incremental e-matching kernel). Verdicts, cores, and
+    /// explain/profile bytes are identical either way — the kernel-parity
+    /// test enforces it — but the batch path redoes work the incremental
+    /// path skips. The theories have one path only (see `Theory`).
     pub batch_kernels: bool,
 }
 
@@ -267,8 +240,6 @@ pub struct Solver {
     debug_inst: bool,
     /// Persistent watermark e-matching state (reset on [`Solver::pop`]).
     ematch: EmatchState,
-    /// Persistent theory-kernel plans (reset on [`Solver::pop`]).
-    theory_cache: TheoryKernelCache,
 }
 
 /// Snapshot of the formula-layer state for [`Solver::push`]/[`Solver::pop`].
@@ -341,7 +312,6 @@ impl Solver {
             frames: Vec::new(),
             debug_inst: std::env::var("VERIS_DEBUG_INST").is_ok(),
             ematch: EmatchState::default(),
-            theory_cache: TheoryKernelCache::default(),
         }
     }
 
@@ -411,12 +381,11 @@ impl Solver {
         self.stats = f.stats;
         self.profile = f.profile;
         self.queue.clear();
-        // Kernel caches reference term ids the truncation just freed for
-        // reuse — drop them wholesale. A fresh solver also starts every
-        // check with empty caches, so reuse counters replay identically in
-        // module sessions.
+        // The e-matching cache references term ids the truncation just
+        // freed for reuse — drop it wholesale. A fresh solver also starts
+        // every check with an empty cache, so reuse counters replay
+        // identically in module sessions.
         self.ematch = EmatchState::default();
-        self.theory_cache = TheoryKernelCache::default();
     }
 
     /// Number of open assertion frames.
@@ -907,6 +876,14 @@ impl Solver {
         }
         let assumptions: Vec<Lit> = self.hypotheses.iter().map(|&(_, l)| l).collect();
         let max_rounds = self.config.max_quant_rounds;
+        // One theory state for the whole call: it follows the SAT trail
+        // across final checks and rounds, and is dropped on return.
+        let mut theory = Theory::new(
+            &self.store,
+            self.lit_true,
+            self.meter.clone(),
+            self.config.lia_branch_nodes,
+        );
         for _round in 0..=max_rounds {
             if let Some(m) = &self.meter {
                 if m.check("solver") {
@@ -919,25 +896,12 @@ impl Solver {
             let outcome = {
                 let store = &self.store;
                 let atoms = &self.atoms;
-                let lia_budget = self.config.lia_branch_nodes;
-                let axiom_lit = self.lit_true;
                 let stats = &mut self.stats;
                 let sat = &mut self.sat;
-                let meter = self.meter.clone();
-                let theory_cache = &mut self.theory_cache;
-                let batch = self.config.batch_kernels;
+                let theory = &mut theory;
                 sat.solve_with_assumptions(self.config.sat_limits, &assumptions, |satref| {
                     stats.final_checks += 1;
-                    match theory_final_check(
-                        store,
-                        atoms,
-                        satref,
-                        lia_budget,
-                        axiom_lit,
-                        meter.as_ref(),
-                        theory_cache,
-                        batch,
-                    ) {
+                    match theory.final_check(store, atoms, satref) {
                         TheoryVerdict::Consistent(model) => {
                             last_model = Some(model);
                             FinalCheck::Consistent
@@ -1676,7 +1640,7 @@ fn three_valued_all(it: impl Iterator<Item = Option<bool>>) -> Option<bool> {
 }
 
 // ----------------------------------------------------------------------
-// Theory final check (free function to avoid borrow entanglement)
+// Theory state on the SAT trail
 // ----------------------------------------------------------------------
 
 enum TheoryVerdict {
@@ -1685,98 +1649,203 @@ enum TheoryVerdict {
     Unknown,
 }
 
-struct TheoryCtx<'a> {
-    store: &'a TermStore,
+/// How one theory atom is asserted; fixed when the atom is registered.
+enum AtomShape {
+    /// Equality: merge or separate the two nodes. An int equality also
+    /// bounds `konst + Σ combo` to zero in LIA.
+    Eq {
+        a: NodeId,
+        b: NodeId,
+        lia: Option<(i128, Vec<(i128, LVar)>)>,
+    },
+    /// `konst + Σ combo <= 0`.
+    Le0(i128, Vec<(i128, LVar)>),
+    /// Boolean-sorted application or datatype tester: merge with TRUE or
+    /// FALSE.
+    Bool(NodeId),
+}
+
+/// Why a LIA bound holds, resolved into literals only on conflict.
+#[derive(Clone, Copy)]
+enum TagReason {
+    Lit(Lit),
+    /// The two shared nodes are EUF-equal (explained lazily: the proof
+    /// forest path between them does not change while they stay merged).
+    Shared(NodeId, NodeId),
+}
+
+/// Theory state before one trail literal was asserted.
+#[derive(Clone, Copy)]
+struct TheoryMark {
+    euf: EufMark,
+    lia: LiaMark,
+    tags: usize,
+}
+
+/// EUF and LIA for one [`Solver::check`] call, kept in step with the SAT
+/// trail. Nodes, LIA columns and atom rows are created at the base state,
+/// with nothing asserted, and never undone; a final check undoes the
+/// theories only to where the trail changed since the previous one and
+/// asserts the atoms of the trail suffix, in trail order. New atoms appear
+/// only between rounds: the state is undone to the base, they are
+/// registered, and the next check re-asserts the trail.
+struct Theory {
     euf: Euf,
-    node_of: HashMap<TermId, NodeId>,
     lia: Lia,
+    node_of: HashMap<TermId, NodeId>,
+    /// Term of each shared (int-sorted) node.
+    term_of: HashMap<NodeId, TermId>,
     lvar_of: HashMap<TermId, LVar>,
     lvars: Vec<(TermId, LVar)>,
     /// Dense tags for structured EUF signatures.
     lin_sigs: HashMap<(i128, Vec<i128>), u64>,
     dt_tags: HashMap<(u32, u32, u32), u64>,
-    tag_table: Vec<Vec<Lit>>,
+    /// Constructor ground terms seen per datatype, for distinctness diseqs.
+    ctors_seen: HashMap<u32, Vec<(u32, NodeId)>>,
+    /// Subterms already walked by registration.
+    walked: HashSet<TermId>,
     true_node: NodeId,
     false_node: NodeId,
     axiom_lit: Lit,
-    /// Constructor ground terms seen per datatype, for distinctness diseqs.
-    ctors_seen: HashMap<u32, Vec<(u32, NodeId)>>,
+    int_sort: SortId,
+    bool_sort: SortId,
+    /// Registered atoms: shape and positive literal, indexed through
+    /// `atom_of_var`.
+    shapes: Vec<(AtomShape, Lit)>,
+    atom_of_var: Vec<Option<u32>>,
+    /// Prefix of the solver's atom list registered so far.
+    registered: usize,
+    tags: Vec<TagReason>,
+    /// (trail index of an asserted atom literal, state before it).
+    points: Vec<(usize, TheoryMark)>,
+    base: TheoryMark,
+    /// Trail prefix the theory state reflects.
+    synced: usize,
+    meter: Option<Arc<ResourceMeter>>,
+    /// Branch-and-bound node budget per final check.
+    lia_budget: usize,
 }
 
-impl<'a> TheoryCtx<'a> {
+impl Theory {
     fn new(
-        store: &'a TermStore,
+        store: &TermStore,
         axiom_lit: Lit,
-        meter: Option<&Arc<ResourceMeter>>,
-    ) -> TheoryCtx<'a> {
+        meter: Option<Arc<ResourceMeter>>,
+        lia_budget: usize,
+    ) -> Theory {
         let mut euf = Euf::new();
         let mut lia = Lia::new();
-        if let Some(m) = meter {
+        if let Some(m) = &meter {
             euf.set_meter(m.clone());
             lia.set_meter(m.clone());
         }
         let true_node = euf.add_node(tag_leaf(u32::MAX), vec![]);
         let false_node = euf.add_node(tag_leaf(u32::MAX - 1), vec![]);
         euf.assert_neq(true_node, false_node, axiom_lit);
-        TheoryCtx {
-            store,
+        let base = TheoryMark {
+            euf: euf.mark(),
+            lia: lia.mark(),
+            tags: 0,
+        };
+        Theory {
             euf,
-            node_of: HashMap::new(),
             lia,
+            node_of: HashMap::new(),
+            term_of: HashMap::new(),
             lvar_of: HashMap::new(),
             lvars: Vec::new(),
             lin_sigs: HashMap::new(),
             dt_tags: HashMap::new(),
-            tag_table: Vec::new(),
+            ctors_seen: HashMap::new(),
+            walked: HashSet::new(),
             true_node,
             false_node,
             axiom_lit,
-            ctors_seen: HashMap::new(),
+            int_sort: store.int_sort(),
+            bool_sort: store.bool_sort(),
+            shapes: Vec::new(),
+            atom_of_var: Vec::new(),
+            registered: 0,
+            tags: Vec::new(),
+            points: Vec::new(),
+            base,
+            synced: 0,
+            meter,
+            lia_budget,
         }
     }
 
-    fn tag_for(&mut self, lits: Vec<Lit>) -> u32 {
-        let id = self.tag_table.len() as u32;
-        self.tag_table.push(lits);
-        id
+    fn mark(&self) -> TheoryMark {
+        TheoryMark {
+            euf: self.euf.mark(),
+            lia: self.lia.mark(),
+            tags: self.tags.len(),
+        }
     }
 
-    fn euf_node(&mut self, t: TermId) -> NodeId {
+    fn restore(&mut self, m: TheoryMark) {
+        self.euf.undo(m.euf);
+        self.lia.undo(m.lia);
+        self.tags.truncate(m.tags);
+    }
+
+    /// Undo every atom asserted from trail index `pos` on.
+    fn undo_to(&mut self, pos: usize) {
+        let mut target = None;
+        while let Some(&(i, m)) = self.points.last() {
+            if i < pos {
+                break;
+            }
+            target = Some(m);
+            self.points.pop();
+        }
+        if let Some(m) = target {
+            self.restore(m);
+        }
+        self.synced = self.synced.min(pos);
+    }
+
+    fn tag(&mut self, r: TagReason) -> u32 {
+        self.tags.push(r);
+        (self.tags.len() - 1) as u32
+    }
+
+    fn euf_node(&mut self, store: &TermStore, t: TermId) -> NodeId {
         if let Some(&n) = self.node_of.get(&t) {
             return n;
         }
-        let kind = self.store.kind(t).clone();
-        let (tag, children) = match kind {
+        let (tag, children) = match store.kind(t) {
             TermKind::App(f, args) => {
-                let kids = args.iter().map(|&a| self.euf_node(a)).collect();
+                let kids = args.iter().map(|&a| self.euf_node(store, a)).collect();
                 ((2u64 << 40) | f.0 as u64, kids)
             }
-            TermKind::Linear {
-                konst,
-                ref monomials,
-            } => {
+            TermKind::Linear { konst, monomials } => {
                 let coeffs: Vec<i128> = monomials.iter().map(|&(c, _)| c).collect();
                 let next = self.lin_sigs.len() as u64;
-                let dense = *self.lin_sigs.entry((konst, coeffs)).or_insert(next);
-                let kids = monomials.iter().map(|&(_, a)| self.euf_node(a)).collect();
+                let dense = *self.lin_sigs.entry((*konst, coeffs)).or_insert(next);
+                let kids = monomials
+                    .iter()
+                    .map(|&(_, a)| self.euf_node(store, a))
+                    .collect();
                 ((3u64 << 40) | dense, kids)
             }
-            TermKind::NlMul(ref factors) => {
-                let kids = factors.iter().map(|&a| self.euf_node(a)).collect();
+            TermKind::NlMul(factors) => {
+                let kids = factors.iter().map(|&a| self.euf_node(store, a)).collect();
                 ((4u64 << 40) | factors.len() as u64, kids)
             }
             TermKind::IntDiv(a, b) => {
-                let kids = vec![self.euf_node(a), self.euf_node(b)];
+                let kids = vec![self.euf_node(store, *a), self.euf_node(store, *b)];
                 (5u64 << 40, kids)
             }
             TermKind::IntMod(a, b) => {
-                let kids = vec![self.euf_node(a), self.euf_node(b)];
+                let kids = vec![self.euf_node(store, *a), self.euf_node(store, *b)];
                 (6u64 << 40, kids)
             }
-            TermKind::DtCtor(dt, c, ref args) => {
+            TermKind::DtCtor(dt, c, args) => {
+                let (dt, c) = (*dt, *c);
                 let next = self.dt_tags.len() as u64;
                 let dense = *self.dt_tags.entry((dt.0, c, u32::MAX)).or_insert(next);
-                let kids: Vec<NodeId> = args.iter().map(|&a| self.euf_node(a)).collect();
+                let kids: Vec<NodeId> = args.iter().map(|&a| self.euf_node(store, a)).collect();
                 let node = self.euf.add_node((7u64 << 40) | dense, kids.clone());
                 self.node_of.insert(t, node);
                 // EUF-internal selector nodes give injectivity: if two ctor
@@ -1803,19 +1872,23 @@ impl<'a> TheoryCtx<'a> {
             }
             TermKind::DtSel(dt, c, f, a) => {
                 let next = self.dt_tags.len() as u64;
-                let dense = *self.dt_tags.entry((dt.0, c, f)).or_insert(next);
-                ((8u64 << 40) | dense, vec![self.euf_node(a)])
+                let dense = *self.dt_tags.entry((dt.0, *c, *f)).or_insert(next);
+                ((8u64 << 40) | dense, vec![self.euf_node(store, *a)])
             }
             TermKind::DtTest(dt, c, a) => {
                 let next = self.dt_tags.len() as u64;
-                let dense = *self.dt_tags.entry((dt.0, c, u32::MAX - 1)).or_insert(next);
-                ((9u64 << 40) | dense, vec![self.euf_node(a)])
+                let dense = *self.dt_tags.entry((dt.0, *c, u32::MAX - 1)).or_insert(next);
+                ((9u64 << 40) | dense, vec![self.euf_node(store, *a)])
             }
             // Leaves and anything else: opaque per-term constants.
             _ => (tag_leaf(t.0), vec![]),
         };
         let n = self.euf.add_node(tag, children);
         self.node_of.insert(t, n);
+        if store.sort_of(t) == self.int_sort {
+            self.term_of.insert(n, t);
+            self.euf.set_shared(n);
+        }
         n
     }
 
@@ -1830,333 +1903,261 @@ impl<'a> TheoryCtx<'a> {
     }
 
     /// Decompose an int term into (constant, combo of LIA vars).
-    fn decompose(&mut self, t: TermId) -> (i128, Vec<(i128, LVar)>) {
-        match self.store.kind(t).clone() {
-            TermKind::IntConst(k) => (k, vec![]),
+    fn decompose(&mut self, store: &TermStore, t: TermId) -> (i128, Vec<(i128, LVar)>) {
+        match store.kind(t) {
+            TermKind::IntConst(k) => (*k, vec![]),
             TermKind::Linear { konst, monomials } => {
                 let combo = monomials.iter().map(|&(c, a)| (c, self.lvar(a))).collect();
-                (konst, combo)
+                (*konst, combo)
             }
             _ => (0, vec![(1, self.lvar(t))]),
+        }
+    }
+
+    /// `a - b` as (constant, merged combo).
+    fn difference(&mut self, store: &TermStore, a: TermId, b: TermId) -> (i128, Vec<(i128, LVar)>) {
+        let (ka, mut combo) = self.decompose(store, a);
+        let (kb, cb) = self.decompose(store, b);
+        combo.extend(cb.into_iter().map(|(c, v)| (-c, v)));
+        (ka - kb, merge_combo(combo))
+    }
+
+    /// Register one atom at the base state: EUF nodes for every
+    /// non-boolean subterm (so congruence sees terms that occur only under
+    /// arithmetic atoms), LIA columns and rows, and its shape.
+    fn register_atom(&mut self, store: &TermStore, t: TermId, lit: Lit) -> Result<(), Overflow> {
+        self.walk_subterms(store, t);
+        let shape = match store.kind(t) {
+            TermKind::Eq(a, b) => {
+                let (a, b) = (*a, *b);
+                let (na, nb) = (self.euf_node(store, a), self.euf_node(store, b));
+                let lia = if store.sort_of(a) == self.int_sort {
+                    let (k, combo) = self.difference(store, a, b);
+                    self.lia.register(&combo)?;
+                    Some((k, combo))
+                } else {
+                    None
+                };
+                AtomShape::Eq { a: na, b: nb, lia }
+            }
+            TermKind::Le0(lin) => {
+                let (k, combo) = self.decompose(store, *lin);
+                self.lia.register(&combo)?;
+                AtomShape::Le0(k, combo)
+            }
+            TermKind::Var(_, s) if *s == self.bool_sort => return Ok(()),
+            TermKind::App(..) | TermKind::DtTest(..) => AtomShape::Bool(self.euf_node(store, t)),
+            _ => return Ok(()),
+        };
+        let v = lit.var().0 as usize;
+        if self.atom_of_var.len() <= v {
+            self.atom_of_var.resize(v + 1, None);
+        }
+        self.atom_of_var[v] = Some(self.shapes.len() as u32);
+        self.shapes.push((shape, lit));
+        Ok(())
+    }
+
+    fn walk_subterms(&mut self, store: &TermStore, t: TermId) {
+        for c in store.children(t) {
+            if self.walked.insert(c) {
+                if store.sort_of(c) != self.bool_sort {
+                    self.euf_node(store, c);
+                }
+                self.walk_subterms(store, c);
+            }
+        }
+    }
+
+    /// Negated explanation literals, as a conflict clause.
+    fn clause(&self, lits: impl IntoIterator<Item = Lit>) -> Vec<Lit> {
+        let mut lits: Vec<Lit> = lits.into_iter().filter(|&l| l != self.axiom_lit).collect();
+        lits.sort_unstable();
+        lits.dedup();
+        lits.into_iter().map(|l| l.negate()).collect()
+    }
+
+    fn conflict_from_tags(&self, tags: Vec<u32>) -> TheoryVerdict {
+        let mut lits = Vec::new();
+        for tg in tags {
+            match self.tags[tg as usize] {
+                TagReason::Lit(l) => lits.push(l),
+                TagReason::Shared(a, b) => lits.extend(self.euf.explain(a, b)),
+            }
+        }
+        TheoryVerdict::Conflict(self.clause(lits))
+    }
+
+    /// Bound `konst + Σ combo` to zero.
+    fn assert_zero(
+        &mut self,
+        konst: i128,
+        combo: &[(i128, LVar)],
+        reason: TagReason,
+    ) -> Result<(), TheoryVerdict> {
+        let tag = self.tag(reason);
+        match (
+            self.lia.assert_upper(combo, -konst, Some(tag)),
+            self.lia.assert_lower(combo, -konst, Some(tag)),
+        ) {
+            (Ok(None), Ok(None)) => Ok(()),
+            (Ok(Some(tags)), _) | (_, Ok(Some(tags))) => Err(self.conflict_from_tags(tags)),
+            _ => Err(TheoryVerdict::Unknown),
+        }
+    }
+
+    /// Close pending merges and send the equalities between shared nodes
+    /// they made to LIA.
+    fn close(&mut self, store: &TermStore) -> Result<(), TheoryVerdict> {
+        self.euf.close();
+        for (x, y) in self.euf.take_shared_eqs() {
+            let (tx, ty) = (self.term_of[&x], self.term_of[&y]);
+            let (konst, combo) = self.difference(store, tx, ty);
+            if combo.is_empty() {
+                if konst != 0 {
+                    let expl = self.euf.explain(x, y);
+                    return Err(TheoryVerdict::Conflict(self.clause(expl)));
+                }
+                continue;
+            }
+            self.assert_zero(konst, &combo, TagReason::Shared(x, y))?;
+        }
+        Ok(())
+    }
+
+    /// Assert one trail literal of a registered atom.
+    fn assert_atom(&mut self, store: &TermStore, atom: u32, lit: Lit) -> Result<(), TheoryVerdict> {
+        let (shape, pos) = &self.shapes[atom as usize];
+        let val = lit == *pos;
+        match shape {
+            AtomShape::Eq { a, b, lia } => {
+                let (a, b) = (*a, *b);
+                if !val {
+                    self.euf.assert_neq(a, b, lit);
+                    return Ok(());
+                }
+                self.euf.assert_eq(a, b, lit);
+                if let Some((konst, combo)) = lia {
+                    if combo.is_empty() {
+                        if *konst != 0 {
+                            return Err(TheoryVerdict::Conflict(vec![lit.negate()]));
+                        }
+                    } else {
+                        let (konst, combo) = (*konst, combo.clone());
+                        self.assert_zero(konst, &combo, TagReason::Lit(lit))?;
+                    }
+                }
+                self.close(store)
+            }
+            AtomShape::Le0(k, combo) => {
+                let k = *k;
+                if combo.is_empty() {
+                    if (k <= 0) != val {
+                        return Err(TheoryVerdict::Conflict(vec![lit.negate()]));
+                    }
+                    return Ok(());
+                }
+                let combo = combo.clone();
+                let tag = Some(self.tag(TagReason::Lit(lit)));
+                let res = if val {
+                    // Σ combo + k <= 0  =>  Σ combo <= -k
+                    self.lia.assert_upper(&combo, -k, tag)
+                } else {
+                    // Σ combo + k >= 1  =>  Σ combo >= 1 - k
+                    self.lia.assert_lower(&combo, 1 - k, tag)
+                };
+                match res {
+                    Ok(None) => Ok(()),
+                    Ok(Some(tags)) => Err(self.conflict_from_tags(tags)),
+                    Err(_) => Err(TheoryVerdict::Unknown),
+                }
+            }
+            AtomShape::Bool(n) => {
+                let target = if val { self.true_node } else { self.false_node };
+                self.euf.assert_eq(*n, target, lit);
+                self.close(store)
+            }
+        }
+    }
+
+    /// Register atoms added since the last call, at the base state.
+    fn register_new(
+        &mut self,
+        store: &TermStore,
+        atoms: &[(TermId, Lit)],
+    ) -> Result<(), TheoryVerdict> {
+        self.points.clear();
+        self.restore(self.base);
+        self.synced = 0;
+        for &(t, lit) in &atoms[self.registered..] {
+            if self.register_atom(store, t, lit).is_err() {
+                return Err(TheoryVerdict::Unknown);
+            }
+        }
+        self.registered = atoms.len();
+        self.close(store)?;
+        self.base = self.mark();
+        Ok(())
+    }
+
+    /// Check the full assignment on `sat`'s trail. An `Unknown` (overflow,
+    /// exhausted meter or branch budget) ends the `check` call, so a state
+    /// an overflow left inconsistent is never used again.
+    fn final_check(
+        &mut self,
+        store: &TermStore,
+        atoms: &[(TermId, Lit)],
+        sat: &SatSolver,
+    ) -> TheoryVerdict {
+        if self.registered < atoms.len() {
+            if let Err(v) = self.register_new(store, atoms) {
+                return v;
+            }
+        }
+        let trail = sat.trail();
+        self.undo_to(sat.stable_prefix());
+        for (i, &lit) in trail.iter().enumerate().skip(self.synced) {
+            let Some(atom) = self
+                .atom_of_var
+                .get(lit.var().0 as usize)
+                .copied()
+                .flatten()
+            else {
+                continue;
+            };
+            self.points.push((i, self.mark()));
+            if let Err(v) = self.assert_atom(store, atom, lit) {
+                // Leave the state as it was before this literal, so a
+                // later check can assert it afresh.
+                self.undo_to(i);
+                self.synced = i;
+                return v;
+            }
+        }
+        self.synced = trail.len();
+        if let Err(c) = self.euf.check_diseqs() {
+            return TheoryVerdict::Conflict(self.clause(c.lits));
+        }
+        if let Some(m) = &self.meter {
+            if m.check("euf") {
+                return TheoryVerdict::Unknown;
+            }
+        }
+        match self.lia.check(self.lia_budget) {
+            LiaOutcome::Sat(model) => TheoryVerdict::Consistent(
+                self.lvars
+                    .iter()
+                    .map(|&(t, v)| (t, model[v.0 as usize]))
+                    .collect(),
+            ),
+            LiaOutcome::Unsat(tags) => self.conflict_from_tags(tags),
+            LiaOutcome::Unknown => TheoryVerdict::Unknown,
         }
     }
 }
 
 fn tag_leaf(id: u32) -> u64 {
     (1u64 << 40) | id as u64
-}
-
-#[allow(clippy::too_many_arguments)]
-fn theory_final_check(
-    store: &TermStore,
-    atoms: &[(TermId, Lit)],
-    sat: &SatSolver,
-    lia_budget: usize,
-    axiom_lit: Lit,
-    meter: Option<&Arc<ResourceMeter>>,
-    cache: &mut TheoryKernelCache,
-    batch: bool,
-) -> TheoryVerdict {
-    let mut ctx = TheoryCtx::new(store, axiom_lit, meter);
-    let int_sort = store.int_sort();
-    let bool_sort = store.bool_sort();
-    // Register every non-boolean subterm of every atom in EUF so congruence
-    // reasoning sees terms that occur only under arithmetic atoms. The
-    // batch path re-walks every atom's DAG on every final check; the
-    // incremental path replays a flattened per-atom plan that creates the
-    // same nodes in the same order (see `reg_plan`). Atoms whose plan was
-    // already compiled charge the informational `theory-reuse` counter.
-    if batch {
-        for &(t, _) in atoms {
-            register_subterms(&mut ctx, store, t, bool_sort);
-        }
-    } else {
-        let mut reused: u64 = 0;
-        for &(t, _) in atoms {
-            match cache.reg.get(&t) {
-                Some(plan) => {
-                    reused += 1;
-                    for &s in plan {
-                        ctx.euf_node(s);
-                    }
-                }
-                None => {
-                    let mut plan = Vec::new();
-                    let mut visited = HashSet::new();
-                    reg_plan(store, t, bool_sort, &mut plan, &mut visited);
-                    for &s in &plan {
-                        ctx.euf_node(s);
-                    }
-                    cache.reg.insert(t, plan);
-                }
-            }
-        }
-        if reused > 0 {
-            if let Some(m) = meter {
-                m.charge(Counter::TheoryReuse, reused);
-            }
-        }
-    }
-    // Dispatch asserted atoms. The routing shape is a pure function of the
-    // atom's kind, cached so repeat final checks skip the kind clone.
-    for &(t, lit) in atoms {
-        let val = match sat.value(lit) {
-            LBool::True => true,
-            LBool::False => false,
-            LBool::Undef => continue,
-        };
-        let asserted_lit = if val { lit } else { lit.negate() };
-        let shape = if batch {
-            atom_dispatch(store, t, int_sort, bool_sort)
-        } else if let Some(&s) = cache.dispatch.get(&t) {
-            s
-        } else {
-            let s = atom_dispatch(store, t, int_sort, bool_sort);
-            cache.dispatch.insert(t, s);
-            s
-        };
-        match shape {
-            AtomDispatch::Eq { a, b, int } => {
-                let (na, nb) = (ctx.euf_node(a), ctx.euf_node(b));
-                if val {
-                    ctx.euf.assert_eq(na, nb, asserted_lit);
-                    if int {
-                        // a - b == 0 in LIA.
-                        let (ka, mut combo) = decompose_cached(&mut ctx, cache, batch, a);
-                        let (kb, cb) = decompose_cached(&mut ctx, cache, batch, b);
-                        for (c, v) in cb {
-                            combo.push((-c, v));
-                        }
-                        let konst = ka - kb;
-                        let combo = merge_combo(combo);
-                        let tag = ctx.tag_for(vec![asserted_lit]);
-                        if combo.is_empty() {
-                            if konst != 0 {
-                                return TheoryVerdict::Conflict(vec![asserted_lit.negate()]);
-                            }
-                        } else {
-                            match (
-                                ctx.lia.assert_upper(&combo, -konst, Some(tag)),
-                                ctx.lia.assert_lower(&combo, -konst, Some(tag)),
-                            ) {
-                                (Ok(None), Ok(None)) => {}
-                                (Ok(Some(tags)), _) | (_, Ok(Some(tags))) => {
-                                    return conflict_from_tags(&ctx, tags);
-                                }
-                                _ => return TheoryVerdict::Unknown,
-                            }
-                        }
-                    }
-                } else {
-                    ctx.euf.assert_neq(na, nb, asserted_lit);
-                }
-            }
-            AtomDispatch::Le0(lin) => {
-                let (k, combo) = decompose_cached(&mut ctx, cache, batch, lin);
-                let tag = ctx.tag_for(vec![asserted_lit]);
-                let res = if combo.is_empty() {
-                    let holds = k <= 0;
-                    if holds != val {
-                        return TheoryVerdict::Conflict(vec![asserted_lit.negate()]);
-                    }
-                    Ok(None)
-                } else if val {
-                    // Σ combo + k <= 0  =>  Σ combo <= -k
-                    ctx.lia.assert_upper(&combo, -k, Some(tag))
-                } else {
-                    // Σ combo + k >= 1  =>  Σ combo >= 1 - k
-                    ctx.lia.assert_lower(&combo, 1 - k, Some(tag))
-                };
-                match res {
-                    Ok(None) => {}
-                    Ok(Some(tags)) => return conflict_from_tags(&ctx, tags),
-                    Err(_) => return TheoryVerdict::Unknown,
-                }
-            }
-            AtomDispatch::BoolMerge => {
-                // Boolean-sorted application / tester: merge with TRUE/FALSE.
-                // Stays a live `euf_node` call — which atoms reach here is
-                // SAT-value-dependent, so registration cannot be planned.
-                let n = ctx.euf_node(t);
-                let target = if val { ctx.true_node } else { ctx.false_node };
-                ctx.euf.assert_eq(n, target, asserted_lit);
-            }
-            AtomDispatch::Skip => {}
-        }
-    }
-    // EUF closure.
-    if let Err(c) = ctx.euf.propagate() {
-        let clause: Vec<Lit> = c
-            .lits
-            .into_iter()
-            .filter(|&l| l != axiom_lit)
-            .map(|l| l.negate())
-            .collect();
-        return TheoryVerdict::Conflict(clause);
-    }
-    if let Some(m) = meter {
-        if m.check("euf") {
-            return TheoryVerdict::Unknown;
-        }
-    }
-    // Propagate EUF-implied equalities over int terms into LIA. Sorted so
-    // class representatives and LIA assertion order are independent of hash
-    // iteration order (rlimit reproducibility).
-    let mut int_terms: Vec<TermId> = ctx
-        .node_of
-        .keys()
-        .copied()
-        .filter(|&t| store.sort_of(t) == int_sort)
-        .collect();
-    int_terms.sort_unstable();
-    let mut class_reps: HashMap<NodeId, TermId> = HashMap::new();
-    for t in int_terms {
-        let n = ctx.node_of[&t];
-        let root = ctx.euf.find(n);
-        match class_reps.get(&root) {
-            None => {
-                class_reps.insert(root, t);
-            }
-            Some(&rep) => {
-                let rn = ctx.node_of[&rep];
-                let expl = ctx.euf.explain(rn, n);
-                let lits: Vec<Lit> = expl.into_iter().filter(|&l| l != axiom_lit).collect();
-                let (ka, mut combo) = decompose_cached(&mut ctx, cache, batch, rep);
-                let (kb, cb) = decompose_cached(&mut ctx, cache, batch, t);
-                for (c, v) in cb {
-                    combo.push((-c, v));
-                }
-                let konst = ka - kb;
-                let combo = merge_combo(combo);
-                if combo.is_empty() {
-                    if konst != 0 {
-                        let clause = lits.into_iter().map(|l| l.negate()).collect();
-                        return TheoryVerdict::Conflict(clause);
-                    }
-                    continue;
-                }
-                let tag = ctx.tag_for(lits);
-                match (
-                    ctx.lia.assert_upper(&combo, -konst, Some(tag)),
-                    ctx.lia.assert_lower(&combo, -konst, Some(tag)),
-                ) {
-                    (Ok(None), Ok(None)) => {}
-                    (Ok(Some(tags)), _) | (_, Ok(Some(tags))) => {
-                        return conflict_from_tags(&ctx, tags);
-                    }
-                    _ => return TheoryVerdict::Unknown,
-                }
-            }
-        }
-    }
-    // LIA feasibility + integrality.
-    match ctx.lia.check(lia_budget) {
-        LiaOutcome::Sat(model) => {
-            let mut ints = HashMap::new();
-            for &(t, v) in &ctx.lvars {
-                ints.insert(t, model[v.0 as usize]);
-            }
-            TheoryVerdict::Consistent(ints)
-        }
-        LiaOutcome::Unsat(tags) => conflict_from_tags(&ctx, tags),
-        LiaOutcome::Unknown => TheoryVerdict::Unknown,
-    }
-}
-
-fn register_subterms(ctx: &mut TheoryCtx<'_>, store: &TermStore, t: TermId, bool_sort: SortId) {
-    for c in store.children(t) {
-        if store.sort_of(c) != bool_sort {
-            ctx.euf_node(c);
-        }
-        register_subterms(ctx, store, c, bool_sort);
-    }
-}
-
-/// Pure mirror of [`register_subterms`]: the first-occurrence preorder of
-/// non-boolean proper subterms — exactly the sequence of *fresh* `euf_node`
-/// root calls the recursive walk performs (repeat calls were memo no-ops in
-/// the walk and are dropped here; `visited` also prunes re-descent into
-/// shared subtrees, which the walk redoes on every final check). Replaying
-/// the list against a fresh `TheoryCtx` creates the same EUF nodes, dense
-/// tags, and axiom assertions in the same order.
-fn reg_plan(
-    store: &TermStore,
-    t: TermId,
-    bool_sort: SortId,
-    out: &mut Vec<TermId>,
-    visited: &mut HashSet<TermId>,
-) {
-    for c in store.children(t) {
-        if visited.insert(c) {
-            if store.sort_of(c) != bool_sort {
-                out.push(c);
-            }
-            reg_plan(store, c, bool_sort, out, visited);
-        }
-    }
-}
-
-/// Pure dispatch shape of one theory atom (see [`AtomDispatch`]).
-fn atom_dispatch(
-    store: &TermStore,
-    t: TermId,
-    int_sort: SortId,
-    bool_sort: SortId,
-) -> AtomDispatch {
-    match store.kind(t) {
-        TermKind::Eq(a, b) => AtomDispatch::Eq {
-            a: *a,
-            b: *b,
-            int: store.sort_of(*a) == int_sort,
-        },
-        TermKind::Le0(lin) => AtomDispatch::Le0(*lin),
-        TermKind::Var(_, s) if *s == bool_sort => AtomDispatch::Skip,
-        TermKind::App(..) | TermKind::DtTest(..) => AtomDispatch::BoolMerge,
-        _ => AtomDispatch::Skip,
-    }
-}
-
-/// Pure decomposition of an int term into (constant, coefficient rows over
-/// term ids). [`TheoryCtx::decompose`] is this followed by LIA-variable
-/// interning.
-fn decomp_rows(store: &TermStore, t: TermId) -> (i128, Vec<(i128, TermId)>) {
-    match store.kind(t) {
-        TermKind::IntConst(k) => (*k, vec![]),
-        TermKind::Linear { konst, monomials } => (*konst, monomials.clone()),
-        _ => (0, vec![(1, t)]),
-    }
-}
-
-/// [`TheoryCtx::decompose`] with the kind-derived rows memoized across
-/// final checks. LIA variables are interned in row order, matching the
-/// uncached path's allocation order exactly.
-fn decompose_cached(
-    ctx: &mut TheoryCtx<'_>,
-    cache: &mut TheoryKernelCache,
-    batch: bool,
-    t: TermId,
-) -> (i128, Vec<(i128, LVar)>) {
-    if batch {
-        return ctx.decompose(t);
-    }
-    if let Some((k, rows)) = cache.decomp.get(&t) {
-        let combo = rows.iter().map(|&(c, a)| (c, ctx.lvar(a))).collect();
-        return (*k, combo);
-    }
-    let (k, rows) = decomp_rows(ctx.store, t);
-    let combo = rows.iter().map(|&(c, a)| (c, ctx.lvar(a))).collect();
-    cache.decomp.insert(t, (k, rows));
-    (k, combo)
-}
-
-fn conflict_from_tags(ctx: &TheoryCtx<'_>, tags: Vec<u32>) -> TheoryVerdict {
-    let mut lits = Vec::new();
-    for tg in tags {
-        lits.extend(ctx.tag_table[tg as usize].iter().copied());
-    }
-    lits.sort_unstable();
-    lits.dedup();
-    TheoryVerdict::Conflict(lits.into_iter().map(|l| l.negate()).collect())
 }
 
 fn merge_combo(mut combo: Vec<(i128, LVar)>) -> Vec<(i128, LVar)> {

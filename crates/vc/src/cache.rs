@@ -36,7 +36,10 @@ use crate::wp::WpResult;
 /// v5: the wall-clock timeout is gone, so the `timeout=` component is too;
 /// the rlimit is always set, and custom provers charge the function's
 /// meter.
-pub const CACHE_SCHEMA_VERSION: u32 = 5;
+/// v6: the solver backjumps on theory conflicts and keeps EUF/simplex state
+/// on the SAT trail, so the same inputs give different meter totals (and
+/// may give different unsat cores and counterexample bindings).
+pub const CACHE_SCHEMA_VERSION: u32 = 6;
 
 // ----------------------------------------------------------------------
 // Fingerprinting

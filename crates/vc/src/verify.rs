@@ -81,10 +81,10 @@ pub struct VcConfig {
     /// schedule module sessions longest-first across worker threads.
     /// Modules without an entry fall back to their function count.
     pub module_weights: Option<HashMap<String, u64>>,
-    /// Force the solver's pre-incremental batch kernels (rebuild the
-    /// e-matching class index and theory context from scratch every
-    /// round / final check). Escape hatch for the kernel-parity test;
-    /// verdicts and explain/profile bytes are identical either way.
+    /// Force the solver's pre-incremental e-matching kernel (rebuild the
+    /// e-matching class index from scratch every round). Escape hatch for
+    /// the kernel-parity test; verdicts and explain/profile bytes are
+    /// identical either way. The theories have one path only.
     pub batch_kernels: bool,
 }
 
@@ -129,7 +129,7 @@ impl VcConfig {
         self
     }
 
-    /// Builder: force the pre-incremental batch solver kernels.
+    /// Builder: force the pre-incremental batch e-matching kernel.
     pub fn with_batch_kernels(mut self, batch: bool) -> VcConfig {
         self.batch_kernels = batch;
         self
