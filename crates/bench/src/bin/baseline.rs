@@ -13,8 +13,8 @@
 //! totals and exits 1 if any system's `meter_units` drifts more than 10%
 //! from the committed file; CI runs it as the one meter-drift gate. Every
 //! mode first prints a table of the measured totals with the informational
-//! kernel-reuse counters (`ematch_skipped`, `theory_reuse`), which the
-//! committed file leaves out.
+//! e-matching reuse counter (`ematch_skipped`), which the committed file
+//! leaves out.
 //!
 //! `--cache [DIR]` routes both a cold and a warm run through the
 //! content-addressed VC result cache (default `.veris-cache`), reports

@@ -706,9 +706,6 @@ pub mod baseline {
         /// Match candidates the e-matching watermark caches served without
         /// re-running the match (informational, never budgeted).
         pub ematch_skipped: u64,
-        /// Subterm-registration plans replayed from the theory kernel cache
-        /// (informational, never budgeted).
-        pub theory_reuse: u64,
         /// Incremental-verification counters for this run (sessions opened,
         /// context re-encodings avoided, cache hits/misses). Not committed
         /// to the baseline JSON — reported by the `baseline` bin.
@@ -744,7 +741,6 @@ pub mod baseline {
                         .count(),
                     modules: module_totals(&krate, &report),
                     ematch_skipped: meter.ematch_skipped,
-                    theory_reuse: meter.theory_reuse,
                     sessions: report.sessions,
                 }
             })
@@ -803,23 +799,22 @@ pub mod baseline {
         )
     }
 
-    /// Human-readable table of `rows`, with the informational kernel-reuse
-    /// counters the committed JSON leaves out.
+    /// Human-readable table of `rows`, with the informational e-matching
+    /// reuse counter the committed JSON leaves out.
     pub fn render_table(rows: &[SystemCost]) -> String {
         let mut out = format!(
-            "{:<12} {:>12} {:>10} {:>9} {:>13} {:>12}\n",
-            "system", "meter_units", "insts", "verified", "ematch_skip", "theory_reuse"
+            "{:<12} {:>12} {:>10} {:>9} {:>13}\n",
+            "system", "meter_units", "insts", "verified", "ematch_skip"
         );
         for r in rows {
             let _ = writeln!(
                 out,
-                "{:<12} {:>12} {:>10} {:>9} {:>13} {:>12}",
+                "{:<12} {:>12} {:>10} {:>9} {:>13}",
                 r.system,
                 r.meter_units,
                 r.quant_insts,
                 format!("{}/{}", r.verified, r.functions),
-                r.ematch_skipped,
-                r.theory_reuse
+                r.ematch_skipped
             );
         }
         out

@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use veris_obs::ResourceMeter;
-use veris_smt::bv::{prove_bv_metered, BvResult};
+use veris_smt::bv::{prove_bv, BvResult};
 use veris_smt::term::{TermId, TermStore};
 use veris_vir::expr::{BinOp, Expr, ExprX, UnOp};
 use veris_vir::ty::Ty;
@@ -179,17 +179,10 @@ impl<'a> BvEnc<'a> {
     }
 }
 
-/// Prove a boolean VIR expression by bit-blasting.
-pub fn prove_bit_vector(e: &Expr) -> Result<BvOutcome, BvError> {
-    prove_bit_vector_metered(e, None)
-}
-
-/// [`prove_bit_vector`] with an optional resource meter charged for every
-/// blasted clause and SAT search step.
-pub fn prove_bit_vector_metered(
-    e: &Expr,
-    meter: Option<Arc<ResourceMeter>>,
-) -> Result<BvOutcome, BvError> {
+/// Prove a boolean VIR expression by bit-blasting, charging `meter` for
+/// every blasted clause and SAT search step. An exhausted meter gives
+/// `Unknown` with the meter's exhaustion message.
+pub fn prove_bit_vector(e: &Expr, meter: &Arc<ResourceMeter>) -> Result<BvOutcome, BvError> {
     let width = infer_width(e)?.unwrap_or(64);
     let mut store = TermStore::new();
     let mut enc = BvEnc {
@@ -199,7 +192,7 @@ pub fn prove_bit_vector_metered(
     };
     let goal = enc.enc(e)?;
     let vars = enc.vars.clone();
-    match prove_bv_metered(&mut store, goal, meter) {
+    match prove_bv(&mut store, goal, meter) {
         Ok(()) => Ok(BvOutcome::Proved),
         Err(BvResult::Sat(model)) => {
             let mut cex: Vec<(String, u64)> = vars
@@ -209,7 +202,7 @@ pub fn prove_bit_vector_metered(
             cex.sort();
             Ok(BvOutcome::Refuted(cex))
         }
-        Err(BvResult::Unknown) => Ok(BvOutcome::Unknown("sat budget".into())),
+        Err(BvResult::Unknown) => Ok(BvOutcome::Unknown(meter.exhaustion_message())),
         Err(BvResult::Unsat) => unreachable!("prove_bv maps unsat to Ok"),
     }
 }
@@ -219,6 +212,10 @@ mod tests {
     use super::*;
     use veris_vir::expr::{lit, var, ExprExt};
 
+    fn meter() -> Arc<ResourceMeter> {
+        Arc::new(ResourceMeter::new())
+    }
+
     #[test]
     fn mask_is_mod() {
         // x & 511 == x % 512 — the paper's example, at u64.
@@ -226,7 +223,7 @@ mod tests {
         let e = x
             .bit_and(lit(511, Ty::UInt(64)))
             .eq_e(x.modulo(lit(512, Ty::UInt(64))));
-        assert_eq!(prove_bit_vector(&e), Ok(BvOutcome::Proved));
+        assert_eq!(prove_bit_vector(&e, &meter()), Ok(BvOutcome::Proved));
     }
 
     #[test]
@@ -234,7 +231,7 @@ mod tests {
         // x + 1 > x is FALSE for wrapping bv arithmetic (x = MAX).
         let x = var("x", Ty::UInt(8));
         let e = x.add(lit(1, Ty::UInt(8))).gt(x.clone());
-        match prove_bit_vector(&e) {
+        match prove_bit_vector(&e, &meter()) {
             Ok(BvOutcome::Refuted(cex)) => {
                 assert_eq!(cex, vec![("x".to_owned(), 255)]);
             }
@@ -249,7 +246,7 @@ mod tests {
         let l = x.shl(lit(3, Ty::UInt(8))).shr(lit(3, Ty::UInt(8)));
         let r = x.bit_and(lit(0x1f, Ty::UInt(8)));
         let e = l.eq_e(r);
-        assert_eq!(prove_bit_vector(&e), Ok(BvOutcome::Proved));
+        assert_eq!(prove_bit_vector(&e, &meter()), Ok(BvOutcome::Proved));
     }
 
     #[test]
@@ -257,7 +254,7 @@ mod tests {
         let x = var("x", Ty::Int);
         let e = x.ge(lit(0, Ty::Int));
         assert!(matches!(
-            prove_bit_vector(&e),
+            prove_bit_vector(&e, &meter()),
             Err(BvError::UnboundedInt(_)) | Ok(_)
         ));
     }
@@ -268,7 +265,7 @@ mod tests {
         let x = var("x", Ty::UInt(16));
         let y = var("y", Ty::UInt(16));
         let e = x.bit_xor(y.clone()).bit_xor(y.clone()).eq_e(x.clone());
-        assert_eq!(prove_bit_vector(&e), Ok(BvOutcome::Proved));
+        assert_eq!(prove_bit_vector(&e, &meter()), Ok(BvOutcome::Proved));
     }
 
     #[test]
@@ -278,6 +275,23 @@ mod tests {
         let body = i.bit_and(lit(0, Ty::UInt(16))).eq_e(lit(0, Ty::UInt(16)));
         let e = forall(vec![("i", Ty::UInt(16))], body, "q");
         let _ = i;
-        assert_eq!(prove_bit_vector(&e), Ok(BvOutcome::Proved));
+        assert_eq!(prove_bit_vector(&e, &meter()), Ok(BvOutcome::Proved));
+    }
+
+    #[test]
+    fn exhausted_budget_is_named() {
+        // The paper's mask example needs SAT conflicts, so a 1-unit rlimit
+        // trips inside the search and the verdict names the meter.
+        let x = var("x", Ty::UInt(64));
+        let e = x
+            .bit_and(lit(511, Ty::UInt(64)))
+            .eq_e(x.modulo(lit(512, Ty::UInt(64))));
+        let tiny = Arc::new(ResourceMeter::with_limit(Some(1)));
+        match prove_bit_vector(&e, &tiny) {
+            Ok(BvOutcome::Unknown(r)) => {
+                assert!(r.starts_with("resource limit exceeded"), "{r}")
+            }
+            other => panic!("expected a named budget trip: {other:?}"),
+        }
     }
 }

@@ -37,16 +37,14 @@ impl ProverRegistry for StdProvers {
             Prover::Default => {
                 ProverOutcome::Unknown("default prover routed as side obligation".into())
             }
-            Prover::BitVector => {
-                match bitvec::prove_bit_vector_metered(&ob.expr, Some(meter.clone())) {
-                    Ok(bitvec::BvOutcome::Proved) => ProverOutcome::Proved,
-                    Ok(bitvec::BvOutcome::Refuted(cex)) => {
-                        ProverOutcome::Failed(format!("bit-vector counterexample: {cex:?}"))
-                    }
-                    Ok(bitvec::BvOutcome::Unknown(r)) => ProverOutcome::Unknown(r),
-                    Err(e) => ProverOutcome::Unknown(format!("not bit-blastable: {e:?}")),
+            Prover::BitVector => match bitvec::prove_bit_vector(&ob.expr, meter) {
+                Ok(bitvec::BvOutcome::Proved) => ProverOutcome::Proved,
+                Ok(bitvec::BvOutcome::Refuted(cex)) => {
+                    ProverOutcome::Failed(format!("bit-vector counterexample: {cex:?}"))
                 }
-            }
+                Ok(bitvec::BvOutcome::Unknown(r)) => ProverOutcome::Unknown(r),
+                Err(e) => ProverOutcome::Unknown(format!("not bit-blastable: {e:?}")),
+            },
             Prover::NonlinearArith => match nonlinear::prove_nonlinear(krate, &ob.expr, meter) {
                 nonlinear::NlOutcome::Proved => ProverOutcome::Proved,
                 nonlinear::NlOutcome::Refuted(r) => ProverOutcome::Failed(r),

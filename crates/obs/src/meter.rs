@@ -50,9 +50,9 @@ pub enum Counter {
 /// Counters below this index are *budgeted*: they feed [`ResourceMeter::spent`],
 /// rlimit exhaustion, [`MeterSnapshot::total`], and the JSON emitters. Slots at
 /// or above it are informational savings counters — they must never influence
-/// a verdict or a serialized byte, because the incremental kernels that charge
-/// them are exactly the code the determinism contract allows to differ from
-/// the batch path.
+/// a verdict or a serialized byte, because they count work the incremental
+/// e-matching kernel skips, which a reference enumeration would redo for the
+/// same result.
 pub const BUDGETED: usize = 9;
 
 pub const COUNTERS: [Counter; 11] = [
@@ -292,8 +292,8 @@ impl MeterSnapshot {
     }
 
     /// JSON over the *budgeted* counters plus their total. Informational
-    /// counters are excluded on purpose: profile/explain JSON must be
-    /// byte-identical between the incremental and batch kernel paths.
+    /// counters are excluded on purpose: profile/explain JSON must not
+    /// depend on how much work the incremental kernel skipped.
     pub fn to_json(&self) -> String {
         let mut fields: Vec<String> = Vec::new();
         for c in &COUNTERS[..BUDGETED] {

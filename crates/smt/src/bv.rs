@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use veris_obs::{Counter, ResourceMeter};
 
-use crate::sat::{FinalCheck, LBool, Lit, SatLimits, SatResult, SatSolver};
+use crate::sat::{FinalCheck, LBool, Lit, SatResult, SatSolver};
 use crate::term::{TermId, TermKind, TermStore};
 
 /// Result of a bit-vector validity/satisfiability query.
@@ -447,10 +447,7 @@ impl BvSolver {
 
     /// Check satisfiability of the asserted formulas.
     pub fn check(&mut self, store: &TermStore) -> BvResult {
-        match self
-            .sat
-            .solve_with(SatLimits::default(), |_| FinalCheck::Consistent)
-        {
+        match self.sat.solve_with(|_| FinalCheck::Consistent) {
             SatResult::Unsat => BvResult::Unsat,
             SatResult::Unknown => BvResult::Unknown,
             SatResult::Sat => {
@@ -473,23 +470,17 @@ impl BvSolver {
 }
 
 /// Prove the validity of a boolean bv formula: assert its negation and
-/// expect unsat. Returns `Ok(())` on valid, a countermodel on invalid.
-pub fn prove_bv(store: &mut TermStore, goal: TermId) -> Result<(), BvResult> {
-    prove_bv_metered(store, goal, None)
-}
-
-/// [`prove_bv`] with an optional resource meter charged for every blasted
-/// clause and every SAT search step.
-pub fn prove_bv_metered(
+/// expect unsat. Returns `Ok(())` on valid, a countermodel on invalid, and
+/// `Unknown` once `meter` (charged for every blasted clause and every SAT
+/// search step) runs out.
+pub fn prove_bv(
     store: &mut TermStore,
     goal: TermId,
-    meter: Option<Arc<ResourceMeter>>,
+    meter: &Arc<ResourceMeter>,
 ) -> Result<(), BvResult> {
     let neg = store.mk_not(goal);
     let mut solver = BvSolver::new();
-    if let Some(m) = meter {
-        solver.set_meter(m);
-    }
+    solver.set_meter(meter.clone());
     solver.assert(store, neg);
     match solver.check(store) {
         BvResult::Unsat => Ok(()),
@@ -505,6 +496,10 @@ mod tests {
         TermStore::new()
     }
 
+    fn meter() -> Arc<ResourceMeter> {
+        Arc::new(ResourceMeter::new())
+    }
+
     #[test]
     fn mask_mod_identity() {
         // x & 511 == x % 512 (the paper's §3.3 example) at width 16.
@@ -516,7 +511,7 @@ mod tests {
         let lhs = s.mk_bv_and(x, mask);
         let rhs = s.mk_bv_urem(x, m);
         let goal = s.mk_eq(lhs, rhs);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 
     #[test]
@@ -528,7 +523,7 @@ mod tests {
         let l = s.mk_bv_add(x, y);
         let r = s.mk_bv_add(y, x);
         let goal = s.mk_eq(l, r);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 
     #[test]
@@ -540,7 +535,10 @@ mod tests {
         let one = s.mk_bv_const(8, 1);
         let l = s.mk_bv_add(x, one);
         let goal = s.mk_eq(l, x);
-        assert!(matches!(prove_bv(&mut s, goal), Err(BvResult::Sat(_))));
+        assert!(matches!(
+            prove_bv(&mut s, goal, &meter()),
+            Err(BvResult::Sat(_))
+        ));
     }
 
     #[test]
@@ -553,7 +551,7 @@ mod tests {
         let l = s.mk_bv_shl(x, three);
         let r = s.mk_bv_mul(x, eight);
         let goal = s.mk_eq(l, r);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 
     #[test]
@@ -566,7 +564,7 @@ mod tests {
         let fifteen = s.mk_bv_const(8, 15);
         let sh = s.mk_bv_lshr(x, four);
         let goal = s.mk_bv_ule(sh, fifteen);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 
     #[test]
@@ -578,7 +576,7 @@ mod tests {
         let sh = s.mk_bv_shl(x, big);
         let zero = s.mk_bv_const(8, 0);
         let goal = s.mk_eq(sh, zero);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 
     #[test]
@@ -597,7 +595,7 @@ mod tests {
         let y0 = s.mk_eq(y, zero);
         let ny0 = s.mk_not(y0);
         let goal = s.mk_implies(ny0, eq);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 
     #[test]
@@ -609,7 +607,7 @@ mod tests {
         let d = s.mk_bv_sub(x, y);
         let back = s.mk_bv_add(d, y);
         let goal = s.mk_eq(back, x);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 
     #[test]
@@ -633,6 +631,6 @@ mod tests {
         let post = s.mk_eq(abm, zero);
         let pre = s.mk_and(vec![pre1, pre2]);
         let goal = s.mk_implies(pre, post);
-        assert!(prove_bv(&mut s, goal).is_ok());
+        assert!(prove_bv(&mut s, goal, &meter()).is_ok());
     }
 }

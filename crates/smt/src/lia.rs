@@ -161,8 +161,35 @@ pub enum LiaOutcome {
     Sat(Vec<i128>),
     /// Infeasible: responsible literal set.
     Unsat(Vec<Tag>),
-    /// Overflow or branch limit exceeded.
-    Unknown,
+    /// A limit stopped the check short of a verdict.
+    Unknown(LiaLimit),
+}
+
+/// Deepest branch-and-bound path a check explores.
+const MAX_BRANCH_DEPTH: usize = 200;
+
+/// The limit that stopped an LIA check.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LiaLimit {
+    /// The branch-and-bound node budget ran out.
+    BranchNodes,
+    /// A branch went deeper than [`MAX_BRANCH_DEPTH`].
+    Depth,
+    /// `i128` rational arithmetic overflowed.
+    Overflow,
+    /// The resource meter ran out.
+    Meter,
+}
+
+impl std::fmt::Display for LiaLimit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LiaLimit::BranchNodes => write!(f, "branch-node budget"),
+            LiaLimit::Depth => write!(f, "depth {MAX_BRANCH_DEPTH}"),
+            LiaLimit::Overflow => write!(f, "overflow"),
+            LiaLimit::Meter => write!(f, "rlimit"),
+        }
+    }
 }
 
 /// A point to undo back to (see [`Lia::mark`]).
@@ -619,18 +646,21 @@ impl Lia {
         match self.check_bb(&mut budget, 0) {
             Ok(LiaOutcome::Sat(model)) => LiaOutcome::Sat(model),
             Ok(other) => other,
-            Err(Overflow) => LiaOutcome::Unknown,
+            Err(Overflow) => LiaOutcome::Unknown(LiaLimit::Overflow),
         }
     }
 
     fn check_bb(&mut self, budget: &mut usize, depth: usize) -> Result<LiaOutcome, Overflow> {
-        if *budget == 0 || depth > 200 {
-            return Ok(LiaOutcome::Unknown);
+        if *budget == 0 {
+            return Ok(LiaOutcome::Unknown(LiaLimit::BranchNodes));
+        }
+        if depth > MAX_BRANCH_DEPTH {
+            return Ok(LiaOutcome::Unknown(LiaLimit::Depth));
         }
         if let Some(m) = &self.meter {
             m.charge(Counter::BranchSplits, 1);
             if m.check("lia") {
-                return Ok(LiaOutcome::Unknown);
+                return Ok(LiaOutcome::Unknown(LiaLimit::Meter));
             }
         }
         *budget -= 1;
@@ -672,7 +702,10 @@ impl Lia {
                 a.dedup();
                 Ok(LiaOutcome::Unsat(a))
             }
-            _ => Ok(LiaOutcome::Unknown),
+            (LiaOutcome::Unknown(limit), _) | (_, LiaOutcome::Unknown(limit)) => {
+                Ok(LiaOutcome::Unknown(limit))
+            }
+            (LiaOutcome::Sat(_), _) => unreachable!("a sat left branch returned above"),
         }
     }
 

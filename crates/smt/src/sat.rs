@@ -115,7 +115,7 @@ struct SatFrame {
 pub enum SatResult {
     Sat,
     Unsat,
-    /// Resource limit reached.
+    /// The resource meter ran out (only a metered search can stop early).
     Unknown,
 }
 
@@ -126,24 +126,6 @@ pub enum FinalCheck {
     /// Learn this clause (must be false under the current assignment) and
     /// continue searching.
     Conflict(Vec<Lit>),
-}
-
-/// Resource limits for the SAT search. The deterministic budget is the
-/// solver's resource meter; the conflict cap is only a backstop for
-/// unmetered (test) solvers. Every conflict charges the meter at least one
-/// unit, so a metered search at an rlimit up to the cap (the default
-/// rlimit included) runs out of meter before it reaches the cap.
-#[derive(Clone, Copy, Debug)]
-pub struct SatLimits {
-    pub max_conflicts: u64,
-}
-
-impl Default for SatLimits {
-    fn default() -> Self {
-        SatLimits {
-            max_conflicts: 2_000_000,
-        }
-    }
 }
 
 /// CDCL SAT solver.
@@ -670,11 +652,11 @@ impl SatSolver {
     // --- main search ----------------------------------------------------
 
     /// Solve with a final-check callback (theory integration hook).
-    pub fn solve_with<F>(&mut self, limits: SatLimits, final_check: F) -> SatResult
+    pub fn solve_with<F>(&mut self, final_check: F) -> SatResult
     where
         F: FnMut(&SatSolver) -> FinalCheck,
     {
-        self.solve_with_assumptions(limits, &[], final_check)
+        self.solve_with_assumptions(&[], final_check)
     }
 
     /// After `solve_with_assumptions` returns `Unsat`, the subset of
@@ -692,7 +674,6 @@ impl SatSolver {
     /// graph).
     pub fn solve_with_assumptions<F>(
         &mut self,
-        limits: SatLimits,
         assumptions: &[Lit],
         mut final_check: F,
     ) -> SatResult
@@ -708,7 +689,6 @@ impl SatSolver {
             self.root_conflict = true;
             return SatResult::Unsat;
         }
-        let conflicts_at_start = self.conflicts;
         let mut luby_idx = 1u64;
         let mut next_restart = self.conflicts + RESTART_UNIT * luby(luby_idx);
         loop {
@@ -717,9 +697,6 @@ impl SatSolver {
                 if self.decision_level() == 0 {
                     self.root_conflict = true;
                     return SatResult::Unsat;
-                }
-                if self.conflicts - conflicts_at_start > limits.max_conflicts {
-                    return SatResult::Unknown;
                 }
                 if let Some(m) = &self.meter {
                     m.charge(Counter::SatConflicts, 1);
@@ -777,9 +754,6 @@ impl SatSolver {
                                     "theory conflict clause must be falsified"
                                 );
                                 self.conflicts += 1;
-                                if self.conflicts - conflicts_at_start > limits.max_conflicts {
-                                    return SatResult::Unknown;
-                                }
                                 if let Some(m) = &self.meter {
                                     m.charge(Counter::SatConflicts, 1);
                                     if m.check("sat") {
@@ -858,8 +832,8 @@ impl SatSolver {
     }
 
     /// Plain SAT solve without theories.
-    pub fn solve(&mut self, limits: SatLimits) -> SatResult {
-        self.solve_with(limits, |_| FinalCheck::Consistent)
+    pub fn solve(&mut self) -> SatResult {
+        self.solve_with(|_| FinalCheck::Consistent)
     }
 
     /// Final-conflict analysis: the assumption `p` is falsified under the
@@ -937,14 +911,14 @@ mod tests {
     fn trivial_sat() {
         let mut s = solver_with_vars(2);
         assert!(s.add_clause(vec![lit(1), lit(2)]));
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
     fn trivial_unsat() {
         let mut s = solver_with_vars(1);
         assert!(s.add_clause(vec![lit(1)]));
-        assert!(!s.add_clause(vec![lit(-1)]) || s.solve(SatLimits::default()) == SatResult::Unsat);
+        assert!(!s.add_clause(vec![lit(-1)]) || s.solve() == SatResult::Unsat);
     }
 
     #[test]
@@ -962,7 +936,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -973,7 +947,7 @@ mod tests {
             assert!(s.add_clause(vec![lit(-i), lit(i + 1)]));
         }
         assert!(s.add_clause(vec![lit(1)]));
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         for i in 0..n {
             assert_eq!(s.value_var(BVar(i)), LBool::True);
         }
@@ -983,12 +957,12 @@ mod tests {
     fn incremental_clause_addition() {
         let mut s = solver_with_vars(2);
         assert!(s.add_clause(vec![lit(1), lit(2)]));
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.add_clause(vec![lit(-1)]));
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(s.value_var(BVar(1)), LBool::True);
         s.add_clause(vec![lit(-2)]);
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
     }
 
     #[test]
@@ -998,7 +972,7 @@ mod tests {
         let mut s = solver_with_vars(2);
         assert!(s.add_clause(vec![lit(1)]));
         assert!(s.add_clause(vec![lit(2), lit(-1)]));
-        let r = s.solve_with(SatLimits::default(), |sat| {
+        let r = s.solve_with(|sat| {
             if sat.value(lit(1)) == LBool::True && sat.value(lit(2)) == LBool::True {
                 FinalCheck::Conflict(vec![lit(-1), lit(-2)])
             } else {
@@ -1017,24 +991,24 @@ mod tests {
         assert!(s.add_clause(vec![lit(-3), lit(-2)]));
         let asm = [lit(1)];
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Sat
         );
         let asm = [lit(3)];
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Sat
         );
         let asm = [lit(1), lit(3)];
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
         let mut core = s.core().to_vec();
         core.sort_unstable();
         assert_eq!(core, vec![lit(1), lit(3)]);
         // Not a root conflict: solving without assumptions is still sat.
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
     }
 
     #[test]
@@ -1046,7 +1020,7 @@ mod tests {
         assert!(s.add_clause(vec![lit(-2), lit(3)]));
         let asm = [lit(4), lit(1), lit(-3)];
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
         let mut core = s.core().to_vec();
@@ -1061,7 +1035,7 @@ mod tests {
         s.add_clause(vec![lit(-1)]);
         let asm = [lit(2)];
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
         assert!(s.core().is_empty());
@@ -1073,7 +1047,7 @@ mod tests {
         assert!(s.add_clause(vec![lit(1), lit(2)]));
         let asm = [lit(1), lit(-1)];
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
         let mut core = s.core().to_vec();
@@ -1088,10 +1062,10 @@ mod tests {
         s.push();
         s.add_clause(vec![lit(-1)]);
         s.add_clause(vec![lit(-2)]);
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
         s.pop();
         // The frame's units (and the root conflict) are gone.
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(s.depth(), 0);
     }
 
@@ -1099,18 +1073,18 @@ mod tests {
     fn pop_restores_vars_and_counters() {
         let mut s = solver_with_vars(2);
         assert!(s.add_clause(vec![lit(1), lit(2)]));
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         let (c0, d0, p0) = (s.conflicts, s.decisions, s.propagations);
         s.push();
         let v = s.new_var();
         assert!(s.add_clause(vec![Lit::pos(v), lit(-1)]));
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         s.pop();
         assert_eq!(s.num_vars(), 2);
         assert_eq!((s.conflicts, s.decisions, s.propagations), (c0, d0, p0));
         // Solver still fully usable after the pop.
         assert!(s.add_clause(vec![lit(-1)]));
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(s.value_var(BVar(1)), LBool::True);
     }
 
@@ -1123,11 +1097,11 @@ mod tests {
         s.push();
         s.add_clause(vec![lit(-2)]);
         s.add_clause(vec![lit(-3)]);
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Unsat);
+        assert_eq!(s.solve(), SatResult::Unsat);
         s.pop();
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         s.pop();
-        assert_eq!(s.solve(SatLimits::default()), SatResult::Sat);
+        assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(s.depth(), 0);
     }
 
@@ -1158,7 +1132,7 @@ mod tests {
         s.push();
         let asm = [lit(-7)];
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
         assert!(
@@ -1172,7 +1146,7 @@ mod tests {
             "pop restores the pre-push clause set"
         );
         assert_eq!(
-            s.solve_with_assumptions(SatLimits::default(), &asm, |_| FinalCheck::Consistent),
+            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
     }

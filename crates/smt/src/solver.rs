@@ -15,12 +15,12 @@ use std::sync::Arc;
 use veris_obs::{Counter, QuantProfile, ResourceMeter};
 
 use crate::euf::{Euf, EufMark, NodeId};
-use crate::lia::{LVar, Lia, LiaMark, LiaOutcome, Overflow};
+use crate::lia::{LVar, Lia, LiaLimit, LiaMark, LiaOutcome, Overflow};
 use crate::quant::{
     assemble_group, enumerate_matches, infer_triggers, match_group, match_step, pattern_head,
     ClassIndex, PatternHead, TriggerPolicy,
 };
-use crate::sat::{FinalCheck, LBool, Lit, SatLimits, SatResult, SatSolver};
+use crate::sat::{FinalCheck, LBool, Lit, SatResult, SatSolver};
 use crate::term::{Quant, Sort, SortId, StoreMark, TermId, TermKind, TermStore};
 
 /// An instantiation staged by an e-matching round: (quantifier proxy
@@ -93,16 +93,17 @@ struct EmatchState {
     quants: HashMap<TermId, QuantEmatch>,
 }
 
+/// Cap on new instances per quantifier per round.
+const MAX_INSTANCES_PER_ROUND: usize = 3000;
+
+/// Branch-and-bound node budget per LIA final check.
+const LIA_BRANCH_NODES: usize = 6000;
+
 /// Solver configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Maximum quantifier-instantiation rounds before giving up.
     pub max_quant_rounds: usize,
-    /// Cap on new instances per quantifier per round.
-    pub max_instances_per_round: usize,
-    /// Branch-and-bound node budget per LIA final check.
-    pub lia_branch_nodes: usize,
-    pub sat_limits: SatLimits,
     /// EPR mode: instantiate over the ground universe instead of e-matching;
     /// complete for stratified EPR problems.
     pub epr_mode: bool,
@@ -113,25 +114,15 @@ pub struct Config {
     /// further if g < max_generation. Bounds recursive definitional
     /// unfolding so rounds converge.
     pub max_generation: u32,
-    /// Escape hatch: rebuild the e-matching class index from scratch every
-    /// round (the pre-incremental e-matching kernel). Verdicts, cores, and
-    /// explain/profile bytes are identical either way — the kernel-parity
-    /// test enforces it — but the batch path redoes work the incremental
-    /// path skips. The theories have one path only (see `Theory`).
-    pub batch_kernels: bool,
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             max_quant_rounds: 12,
-            max_instances_per_round: 3000,
-            lia_branch_nodes: 6000,
-            sat_limits: SatLimits::default(),
             epr_mode: false,
             trigger_policy: TriggerPolicy::Minimal,
             max_generation: 4,
-            batch_kernels: false,
         }
     }
 }
@@ -236,8 +227,6 @@ pub struct Solver {
     profile: QuantProfile,
     /// Open assertion frames (see [`Solver::push`]).
     frames: Vec<SolverFrame>,
-    /// `VERIS_DEBUG_INST`, read once at construction.
-    debug_inst: bool,
     /// Persistent watermark e-matching state (reset on [`Solver::pop`]).
     ematch: EmatchState,
 }
@@ -310,7 +299,6 @@ impl Solver {
             meter: None,
             profile: QuantProfile::new(),
             frames: Vec::new(),
-            debug_inst: std::env::var("VERIS_DEBUG_INST").is_ok(),
             ematch: EmatchState::default(),
         }
     }
@@ -878,12 +866,7 @@ impl Solver {
         let max_rounds = self.config.max_quant_rounds;
         // One theory state for the whole call: it follows the SAT trail
         // across final checks and rounds, and is dropped on return.
-        let mut theory = Theory::new(
-            &self.store,
-            self.lit_true,
-            self.meter.clone(),
-            self.config.lia_branch_nodes,
-        );
+        let mut theory = Theory::new(&self.store, self.lit_true, self.meter.clone());
         for _round in 0..=max_rounds {
             if let Some(m) = &self.meter {
                 if m.check("solver") {
@@ -892,14 +875,14 @@ impl Solver {
             }
             self.stats.quant_rounds += 1;
             let mut last_model: Option<HashMap<TermId, i128>> = None;
-            let mut theory_unknown = false;
+            let mut theory_unknown: Option<LiaLimit> = None;
             let outcome = {
                 let store = &self.store;
                 let atoms = &self.atoms;
                 let stats = &mut self.stats;
                 let sat = &mut self.sat;
                 let theory = &mut theory;
-                sat.solve_with_assumptions(self.config.sat_limits, &assumptions, |satref| {
+                sat.solve_with_assumptions(&assumptions, |satref| {
                     stats.final_checks += 1;
                     match theory.final_check(store, atoms, satref) {
                         TheoryVerdict::Consistent(model) => {
@@ -907,8 +890,8 @@ impl Solver {
                             FinalCheck::Consistent
                         }
                         TheoryVerdict::Conflict(clause) => FinalCheck::Conflict(clause),
-                        TheoryVerdict::Unknown => {
-                            theory_unknown = true;
+                        TheoryVerdict::Unknown(limit) => {
+                            theory_unknown = Some(limit);
                             FinalCheck::Consistent
                         }
                     }
@@ -930,24 +913,22 @@ impl Solver {
                     return SmtResult::Unsat;
                 }
                 SatResult::Unknown => {
-                    if let Some(m) = &self.meter {
-                        if m.exhausted() {
-                            return SmtResult::Unknown(m.exhaustion_message());
-                        }
-                    }
-                    return SmtResult::Unknown(format!(
-                        "sat conflict limit exceeded (max_conflicts={})",
-                        self.config.sat_limits.max_conflicts
+                    // Only the meter stops a SAT search early.
+                    return SmtResult::Unknown(self.meter.as_ref().map_or_else(
+                        || "resource limit exceeded".to_owned(),
+                        |m| m.exhaustion_message(),
                     ));
                 }
                 SatResult::Sat => {
-                    if theory_unknown {
+                    if let Some(limit) = theory_unknown {
                         if let Some(m) = &self.meter {
                             if m.exhausted() {
                                 return SmtResult::Unknown(m.exhaustion_message());
                             }
                         }
-                        return SmtResult::Unknown("theory budget exceeded".into());
+                        return SmtResult::Unknown(format!(
+                            "theory budget exceeded (lia: {limit})"
+                        ));
                     }
                     let added = self.instantiate_round() + self.combination_round();
                     // Exhaustion during instantiation can cut a round short;
@@ -1014,28 +995,17 @@ impl Solver {
         if let Some(m) = &self.meter {
             m.charge(Counter::EmatchRounds, 1);
         }
-        // Equivalence classes from equality atoms true in the current model:
-        // matching happens modulo these (poor man's e-graph). The batch path
-        // rebuilds them from every true equality each round; the incremental
-        // path advances a persistent index by the newly-true suffix.
-        let batch = self.config.batch_kernels || self.config.epr_mode;
-        let mut state = if batch {
-            EmatchState::default()
-        } else {
-            std::mem::take(&mut self.ematch)
-        };
-        if batch {
-            for &(t, lit) in &self.atoms {
-                if self.sat.value(lit) == LBool::True {
-                    if let TermKind::Eq(a, b) = self.store.kind(t) {
-                        state.classes.union(*a, *b);
-                    }
-                }
-            }
-        } else {
+        // E-matching works modulo the equivalence classes of the equality
+        // atoms true in the current model (poor man's e-graph), kept in a
+        // persistent index advanced by the newly-true suffix. EPR saturation
+        // enumerates the ground universe and never reads the index, so EPR
+        // sessions do not maintain it.
+        let epr = self.config.epr_mode;
+        let mut state = std::mem::take(&mut self.ematch);
+        if !epr {
             self.advance_classes(&mut state);
         }
-        let limit = self.config.max_instances_per_round;
+        let limit = MAX_INSTANCES_PER_ROUND;
         let mut new_instances: Vec<PendingInstance> = Vec::new();
         for qi in 0..self.quants.len() {
             let (qterm, proxy) = self.quants[qi];
@@ -1046,12 +1016,18 @@ impl Solver {
                 TermKind::Quantifier(q) => q.clone(),
                 _ => unreachable!("quant table holds quantifiers"),
             };
-            let bindings = if self.config.epr_mode {
+            let bindings = if epr {
                 self.epr_bindings(&q)
-            } else if batch {
-                enumerate_matches(&self.store, &state.classes, &q, &self.ground_index, limit)
             } else {
-                self.watermark_matches(&state.classes, &mut state.quants, qterm, &q, limit)
+                let b = self.watermark_matches(&state.classes, &mut state.quants, qterm, &q, limit);
+                // The watermark kernel must reproduce the full enumeration
+                // exactly (values and order); checked in every debug build.
+                debug_assert_eq!(
+                    b,
+                    enumerate_matches(&self.store, &state.classes, &q, &self.ground_index, limit),
+                    "watermark e-matching diverged from enumerate_matches"
+                );
+                b
             };
             let qname = self.store.sym_name(q.qid).to_owned();
             self.profile.record(&qname, 0, bindings.len() as u64, 0);
@@ -1082,23 +1058,8 @@ impl Solver {
                 }
             }
         }
-        if !batch {
-            self.ematch = state;
-        }
+        self.ematch = state;
         let n = new_instances.len();
-        if self.debug_inst {
-            for (_, q, b, _) in &new_instances {
-                if let TermKind::Quantifier(qd) = self.store.kind(*q) {
-                    eprintln!(
-                        "inst {} with {:?}",
-                        self.store.sym_name(qd.qid),
-                        b.iter()
-                            .map(|&(i, t)| format!("{}={}", i, self.store.display(t)))
-                            .collect::<Vec<_>>()
-                    );
-                }
-            }
-        }
         for (proxy, q, b, inst) in new_instances {
             self.stats.instantiations += 1;
             if let Some(m) = &self.meter {
@@ -1115,7 +1076,7 @@ impl Solver {
             }
             let before = self.store.num_terms();
             let l = self.encode_formula(inst, false);
-            self.drain_queue_no_recurse();
+            self.drain_queue();
             // Terms created by this instance inherit generation bgen + 1.
             let after = self.store.num_terms();
             for id in before as u32..after as u32 {
@@ -1357,12 +1318,6 @@ impl Solver {
         n
     }
 
-    fn drain_queue_no_recurse(&mut self) {
-        // Identical to drain_queue; named separately for clarity at call
-        // sites inside the instantiation loop.
-        self.drain_queue();
-    }
-
     /// Enumerate bindings over the ground universe (EPR saturation).
     fn epr_bindings(&mut self, q: &Quant) -> Vec<Vec<(u32, TermId)>> {
         // Ensure every sort has a witness.
@@ -1381,7 +1336,7 @@ impl Solver {
                     let mut nb = b.clone();
                     nb.push((idx, g));
                     next.push(nb);
-                    if next.len() > self.config.max_instances_per_round * 4 {
+                    if next.len() > MAX_INSTANCES_PER_ROUND * 4 {
                         break;
                     }
                 }
@@ -1646,7 +1601,8 @@ fn three_valued_all(it: impl Iterator<Item = Option<bool>>) -> Option<bool> {
 enum TheoryVerdict {
     Consistent(HashMap<TermId, i128>),
     Conflict(Vec<Lit>),
-    Unknown,
+    /// The limit that stopped the check (the meter's included).
+    Unknown(LiaLimit),
 }
 
 /// How one theory atom is asserted; fixed when the atom is registered.
@@ -1722,17 +1678,10 @@ struct Theory {
     /// Trail prefix the theory state reflects.
     synced: usize,
     meter: Option<Arc<ResourceMeter>>,
-    /// Branch-and-bound node budget per final check.
-    lia_budget: usize,
 }
 
 impl Theory {
-    fn new(
-        store: &TermStore,
-        axiom_lit: Lit,
-        meter: Option<Arc<ResourceMeter>>,
-        lia_budget: usize,
-    ) -> Theory {
+    fn new(store: &TermStore, axiom_lit: Lit, meter: Option<Arc<ResourceMeter>>) -> Theory {
         let mut euf = Euf::new();
         let mut lia = Lia::new();
         if let Some(m) = &meter {
@@ -1771,7 +1720,6 @@ impl Theory {
             base,
             synced: 0,
             meter,
-            lia_budget,
         }
     }
 
@@ -2002,7 +1950,7 @@ impl Theory {
         ) {
             (Ok(None), Ok(None)) => Ok(()),
             (Ok(Some(tags)), _) | (_, Ok(Some(tags))) => Err(self.conflict_from_tags(tags)),
-            _ => Err(TheoryVerdict::Unknown),
+            _ => Err(TheoryVerdict::Unknown(LiaLimit::Overflow)),
         }
     }
 
@@ -2069,7 +2017,7 @@ impl Theory {
                 match res {
                     Ok(None) => Ok(()),
                     Ok(Some(tags)) => Err(self.conflict_from_tags(tags)),
-                    Err(_) => Err(TheoryVerdict::Unknown),
+                    Err(Overflow) => Err(TheoryVerdict::Unknown(LiaLimit::Overflow)),
                 }
             }
             AtomShape::Bool(n) => {
@@ -2091,7 +2039,7 @@ impl Theory {
         self.synced = 0;
         for &(t, lit) in &atoms[self.registered..] {
             if self.register_atom(store, t, lit).is_err() {
-                return Err(TheoryVerdict::Unknown);
+                return Err(TheoryVerdict::Unknown(LiaLimit::Overflow));
             }
         }
         self.registered = atoms.len();
@@ -2140,10 +2088,10 @@ impl Theory {
         }
         if let Some(m) = &self.meter {
             if m.check("euf") {
-                return TheoryVerdict::Unknown;
+                return TheoryVerdict::Unknown(LiaLimit::Meter);
             }
         }
-        match self.lia.check(self.lia_budget) {
+        match self.lia.check(LIA_BRANCH_NODES) {
             LiaOutcome::Sat(model) => TheoryVerdict::Consistent(
                 self.lvars
                     .iter()
@@ -2151,7 +2099,7 @@ impl Theory {
                     .collect(),
             ),
             LiaOutcome::Unsat(tags) => self.conflict_from_tags(tags),
-            LiaOutcome::Unknown => TheoryVerdict::Unknown,
+            LiaOutcome::Unknown(limit) => TheoryVerdict::Unknown(limit),
         }
     }
 }

@@ -913,19 +913,78 @@ fn assert_pigeonhole(s: &mut Solver, pigeons: usize) {
 }
 
 #[test]
-fn conflict_cap_names_the_limit() {
-    let mut capped = Solver::new(Config {
-        sat_limits: veris_smt::sat::SatLimits { max_conflicts: 2 },
-        ..Config::default()
-    });
-    assert_pigeonhole(&mut capped, 5);
-    match capped.check() {
+fn pigeonhole_5_is_unsat() {
+    let mut s = solver();
+    assert_pigeonhole(&mut s, 5);
+    assert_unsat(&mut s);
+}
+
+#[test]
+fn sat_budget_trip_names_the_meter() {
+    // Set-up spends about 45 units; refuting pigeonhole-5 needs far more
+    // than the rest, so the SAT search is where the budget runs out.
+    let mut s = solver();
+    let meter = std::sync::Arc::new(veris_obs::ResourceMeter::with_limit(Some(100)));
+    s.set_meter(meter);
+    assert_pigeonhole(&mut s, 5);
+    match s.check() {
         SmtResult::Unknown(r) => {
-            assert_eq!(r, "sat conflict limit exceeded (max_conflicts=2)")
+            assert!(r.starts_with("resource limit exceeded"), "{r}");
+            assert!(
+                r.ends_with(" in sat)"),
+                "the SAT search trips the meter: {r}"
+            );
         }
-        other => panic!("expected the conflict cap to fire, got {other:?}"),
+        other => panic!("expected the rlimit to stop the search, got {other:?}"),
     }
-    let mut full = solver();
-    assert_pigeonhole(&mut full, 5);
-    assert_unsat(&mut full);
+}
+
+/// A satisfiable formula over three int constants and `f`/`g` (from the
+/// ground EUF+LIA oracle): depth-first branch-and-bound on unbounded
+/// columns, without cuts, runs past its depth limit, and the verdict says
+/// which LIA limit stopped it. A stronger integer procedure that decides
+/// this formula should replace the expected verdict with `Sat`.
+#[test]
+fn lia_unknown_names_the_limit() {
+    let mut s = solver();
+    let int = s.store.int_sort();
+    let x: Vec<TermId> = (0..3)
+        .map(|i| s.store.mk_var(&format!("x{i}"), int))
+        .collect();
+    let f = s.store.declare_fun("f", vec![int], int);
+    let g = s.store.declare_fun("g", vec![int, int], int);
+    let (one, two, minus_two) = (s.store.mk_int(1), s.store.mk_int(2), s.store.mk_int(-2));
+    // g(x1, x2) <= x1 + x0
+    let g12 = s.store.mk_app(g, vec![x[1], x[2]]);
+    let x1_x0 = s.store.mk_add(vec![x[1], x[0]]);
+    let c0 = s.store.mk_le(g12, x1_x0);
+    // x2 != x2 + x2
+    let x2_x2 = s.store.mk_add(vec![x[2], x[2]]);
+    let eq = s.store.mk_eq(x[2], x2_x2);
+    let c1 = s.store.mk_not(eq);
+    // (x2 + x2) + -2*x0 = x1
+    let m2x0 = s.store.mk_mul(minus_two, x[0]);
+    let sum = s.store.mk_add(vec![x2_x2, m2x0]);
+    let c2 = s.store.mk_eq(sum, x[1]);
+    // x1 != x0
+    let eq = s.store.mk_eq(x[1], x[0]);
+    let c3 = s.store.mk_not(eq);
+    // g(-2*x0, 2*x0) = x1 \/ f(x1) < x0
+    let p2x0 = s.store.mk_mul(two, x[0]);
+    let gm = s.store.mk_app(g, vec![m2x0, p2x0]);
+    let l = s.store.mk_eq(gm, x[1]);
+    let fx1 = s.store.mk_app(f, vec![x[1]]);
+    let r = s.store.mk_lt(fx1, x[0]);
+    let c4 = s.store.mk_or(vec![l, r]);
+    // f(1) != x2
+    let f1 = s.store.mk_app(f, vec![one]);
+    let eq = s.store.mk_eq(f1, x[2]);
+    let c5 = s.store.mk_not(eq);
+    for (i, c) in [c0, c1, c2, c3, c4, c5].into_iter().enumerate() {
+        s.assert_labeled(c, &format!("c{i}"));
+    }
+    match s.check() {
+        SmtResult::Unknown(r) => assert_eq!(r, "theory budget exceeded (lia: depth 200)"),
+        other => panic!("expected a named LIA limit, got {other:?}"),
+    }
 }

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use veris_smt::euf::{Euf, NodeId};
 use veris_smt::lia::{LVar, Lia, LiaOutcome};
-use veris_smt::sat::{BVar, FinalCheck, LBool, Lit, SatLimits, SatResult, SatSolver};
+use veris_smt::sat::{BVar, FinalCheck, LBool, Lit, SatResult, SatSolver};
 use veris_smt::solver::{Config, SmtResult, Solver};
 use veris_smt::term::{FuncId, TermId};
 
@@ -133,7 +133,7 @@ fn sat_solver_for(cnf: &Cnf) -> SatSolver {
 
 /// Solve under `assumptions`, with the cube theory answering final checks.
 fn solve_cnf(s: &mut SatSolver, cnf: &Cnf, assumptions: &[Lit]) -> SatResult {
-    s.solve_with_assumptions(SatLimits::default(), assumptions, |sat| {
+    s.solve_with_assumptions(assumptions, |sat| {
         for cube in &cnf.cubes {
             let lits: Vec<Lit> = cube.iter().map(|&l| to_lit(l)).collect();
             if lits.iter().all(|&l| sat.value(l) == LBool::True) {
@@ -764,7 +764,7 @@ fn lia_verdict(l: &mut Lia) -> &'static str {
     match l.check(1000) {
         LiaOutcome::Sat(_) => "sat",
         LiaOutcome::Unsat(_) => "unsat",
-        LiaOutcome::Unknown => "unknown",
+        LiaOutcome::Unknown(_) => "unknown",
     }
 }
 

@@ -29,7 +29,7 @@ use crate::wp::WpResult;
 /// suppressions), and the driver gates on error-severity lints.
 /// v3: the meter line carries the informational kernel-reuse counters
 /// (`ematch_skipped`, `theory_reuse`), and the fingerprint covers the
-/// `batch_kernels` escape hatch (the two paths charge those counters
+/// batch-kernel escape hatch (the two paths charge those counters
 /// differently even though every budgeted field is identical).
 /// v4: EPR saturation follows each module's `epr_mode` flag, which the
 /// module text already carries; the config's `epr=` component is gone.
@@ -39,7 +39,8 @@ use crate::wp::WpResult;
 /// v6: the solver backjumps on theory conflicts and keeps EUF/simplex state
 /// on the SAT trail, so the same inputs give different meter totals (and
 /// may give different unsat cores and counterexample bindings).
-pub const CACHE_SCHEMA_VERSION: u32 = 6;
+/// v7: one e-matching kernel (no `batch=` component), no `theory_reuse` field.
+pub const CACHE_SCHEMA_VERSION: u32 = 7;
 
 // ----------------------------------------------------------------------
 // Fingerprinting
@@ -77,13 +78,12 @@ pub fn fingerprint(
 ) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={};mqr={:?};maxgen={:?};provers={};batch={};",
+        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={};mqr={:?};maxgen={:?};provers={};",
         cfg.style,
         cfg.rlimit,
         cfg.max_quant_rounds,
         cfg.smt_max_generation,
         cfg.provers.is_some(),
-        cfg.batch_kernels,
     ));
     for m in visible {
         s.push_str(&format!("module {}\n{:?}\n", m.name, m));
@@ -169,7 +169,7 @@ pub fn render_entry(rep: &FnReport) -> String {
     ));
     let m = &rep.meter;
     out.push_str(&format!(
-        "meter\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        "meter\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
         m.sat_conflicts,
         m.sat_decisions,
         m.sat_propagations,
@@ -179,8 +179,7 @@ pub fn render_entry(rep: &FnReport) -> String {
         m.ematch_rounds,
         m.instantiations,
         m.bitblast_clauses,
-        m.ematch_skipped,
-        m.theory_reuse
+        m.ematch_skipped
     ));
     for (name, q) in rep.profile.iter() {
         out.push_str(&format!(
@@ -263,7 +262,7 @@ pub fn parse_entry(text: &str) -> Option<FnReport> {
                 rep.hyps_asserted = f[5].parse().ok()?;
                 rep.hyps_used = f[6].parse().ok()?;
             }
-            "meter" if f.len() == 12 => {
+            "meter" if f.len() == 11 => {
                 rep.meter = MeterSnapshot {
                     sat_conflicts: f[1].parse().ok()?,
                     sat_decisions: f[2].parse().ok()?,
@@ -275,7 +274,7 @@ pub fn parse_entry(text: &str) -> Option<FnReport> {
                     instantiations: f[8].parse().ok()?,
                     bitblast_clauses: f[9].parse().ok()?,
                     ematch_skipped: f[10].parse().ok()?,
-                    theory_reuse: f[11].parse().ok()?,
+                    ..MeterSnapshot::default()
                 };
             }
             "quant" if f.len() == 5 => {

@@ -81,11 +81,6 @@ pub struct VcConfig {
     /// schedule module sessions longest-first across worker threads.
     /// Modules without an entry fall back to their function count.
     pub module_weights: Option<HashMap<String, u64>>,
-    /// Force the solver's pre-incremental e-matching kernel (rebuild the
-    /// e-matching class index from scratch every round). Escape hatch for
-    /// the kernel-parity test; verdicts and explain/profile bytes are
-    /// identical either way. The theories have one path only.
-    pub batch_kernels: bool,
 }
 
 impl Default for VcConfig {
@@ -98,7 +93,6 @@ impl Default for VcConfig {
             rlimit: DEFAULT_RLIMIT,
             cache_dir: None,
             module_weights: None,
-            batch_kernels: false,
         }
     }
 }
@@ -129,12 +123,6 @@ impl VcConfig {
         self
     }
 
-    /// Builder: force the pre-incremental batch e-matching kernel.
-    pub fn with_batch_kernels(mut self, batch: bool) -> VcConfig {
-        self.batch_kernels = batch;
-        self
-    }
-
     /// Solver configuration for a session over a module; `epr_mode` (the
     /// module's `#[epr_mode]` flag) decides its queries by EPR saturation
     /// instead of e-matching.
@@ -157,7 +145,6 @@ impl VcConfig {
             c.epr_mode = true;
             c.max_quant_rounds = self.max_quant_rounds.unwrap_or(64);
         }
-        c.batch_kernels = self.batch_kernels;
         c
     }
 }
