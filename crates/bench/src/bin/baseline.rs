@@ -12,9 +12,7 @@
 //! used to schedule module sessions longest-first. `--check` recomputes the
 //! totals and exits 1 if any system's `meter_units` drifts more than 10%
 //! from the committed file; CI runs it as the one meter-drift gate. Every
-//! mode first prints a table of the measured totals with the informational
-//! e-matching reuse counter (`ematch_skipped`), which the committed file
-//! leaves out.
+//! mode first prints a table of the measured totals.
 //!
 //! `--cache [DIR]` routes both a cold and a warm run through the
 //! content-addressed VC result cache (default `.veris-cache`), reports

@@ -679,8 +679,7 @@ pub mod lint {
 /// (the only solver budget, so every quantity here is deterministic). CI
 /// recomputes the totals and fails on >10% drift — a cheap regression
 /// tripwire for solver-cost changes that no wall-clock measurement could
-/// give us. The `baseline` bin also prints the informational kernel-reuse
-/// counters, which the committed file leaves out.
+/// give us.
 pub mod baseline {
     use super::*;
     use crate::casestudy;
@@ -703,9 +702,6 @@ pub mod baseline {
         /// Per-module meter totals (crate order). Committed in the baseline
         /// JSON so later runs can schedule module sessions longest-first.
         pub modules: Vec<(String, u64)>,
-        /// Match candidates the e-matching watermark caches served without
-        /// re-running the match (informational, never budgeted).
-        pub ematch_skipped: u64,
         /// Incremental-verification counters for this run (sessions opened,
         /// context re-encodings avoided, cache hits/misses). Not committed
         /// to the baseline JSON — reported by the `baseline` bin.
@@ -728,10 +724,9 @@ pub mod baseline {
                 }
                 let krate = casestudy::krate(name).expect("known case study");
                 let report = verify_krate(&krate, &cfg, 1);
-                let meter = report.total_meter();
                 SystemCost {
                     system: name.to_owned(),
-                    meter_units: meter.total(),
+                    meter_units: report.total_meter().total(),
                     quant_insts: report.merged_profile().total_instantiations(),
                     functions: report.functions.len(),
                     verified: report
@@ -740,7 +735,6 @@ pub mod baseline {
                         .filter(|f| matches!(f.status, Status::Verified))
                         .count(),
                     modules: module_totals(&krate, &report),
-                    ematch_skipped: meter.ematch_skipped,
                     sessions: report.sessions,
                 }
             })
@@ -799,22 +793,20 @@ pub mod baseline {
         )
     }
 
-    /// Human-readable table of `rows`, with the informational e-matching
-    /// reuse counter the committed JSON leaves out.
+    /// Human-readable table of `rows`.
     pub fn render_table(rows: &[SystemCost]) -> String {
         let mut out = format!(
-            "{:<12} {:>12} {:>10} {:>9} {:>13}\n",
-            "system", "meter_units", "insts", "verified", "ematch_skip"
+            "{:<12} {:>12} {:>10} {:>9}\n",
+            "system", "meter_units", "insts", "verified"
         );
         for r in rows {
             let _ = writeln!(
                 out,
-                "{:<12} {:>12} {:>10} {:>9} {:>13}",
+                "{:<12} {:>12} {:>10} {:>9}",
                 r.system,
                 r.meter_units,
                 r.quant_insts,
                 format!("{}/{}", r.verified, r.functions),
-                r.ematch_skipped
             );
         }
         out

@@ -16,6 +16,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// One metered resource. The discriminant is the counter's slot index.
+/// Every counter is budgeted: each unit counts toward
+/// [`ResourceMeter::spent`], the rlimit, [`MeterSnapshot::total`] and the
+/// JSON emitters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum Counter {
@@ -37,25 +40,9 @@ pub enum Counter {
     Instantiations,
     /// CNF clauses emitted by the bit-vector bit-blaster.
     BitblastClauses,
-    /// Trigger-match candidates served from the watermark e-matching cache
-    /// instead of being re-enumerated. Informational: never budgeted.
-    EmatchSkipped,
-    /// Theory-registration plans replayed from a per-check kernel cache.
-    /// No longer charged: the theories now follow the SAT trail instead of
-    /// being rebuilt per final check. The slot stays so the snapshot field
-    /// keeps its readers. Informational: never budgeted.
-    TheoryReuse,
 }
 
-/// Counters below this index are *budgeted*: they feed [`ResourceMeter::spent`],
-/// rlimit exhaustion, [`MeterSnapshot::total`], and the JSON emitters. Slots at
-/// or above it are informational savings counters — they must never influence
-/// a verdict or a serialized byte, because they count work the incremental
-/// e-matching kernel skips, which a reference enumeration would redo for the
-/// same result.
-pub const BUDGETED: usize = 9;
-
-pub const COUNTERS: [Counter; 11] = [
+pub const COUNTERS: [Counter; 9] = [
     Counter::SatConflicts,
     Counter::SatDecisions,
     Counter::SatPropagations,
@@ -65,8 +52,6 @@ pub const COUNTERS: [Counter; 11] = [
     Counter::EmatchRounds,
     Counter::Instantiations,
     Counter::BitblastClauses,
-    Counter::EmatchSkipped,
-    Counter::TheoryReuse,
 ];
 
 impl Counter {
@@ -81,8 +66,6 @@ impl Counter {
             Counter::EmatchRounds => "ematch-rounds",
             Counter::Instantiations => "instantiations",
             Counter::BitblastClauses => "bitblast-clauses",
-            Counter::EmatchSkipped => "ematch-skipped",
-            Counter::TheoryReuse => "theory-reuse",
         }
     }
 }
@@ -90,7 +73,7 @@ impl Counter {
 /// Shared monotone counters plus an optional budget.
 #[derive(Debug, Default)]
 pub struct ResourceMeter {
-    counters: [AtomicU64; 11],
+    counters: [AtomicU64; COUNTERS.len()],
     /// `u64::MAX` means unlimited.
     limit: AtomicU64,
     /// Phase name recorded the first time the budget trips.
@@ -128,11 +111,9 @@ impl ResourceMeter {
         self.counters[c as usize].load(Ordering::Relaxed)
     }
 
-    /// Total units spent across the budgeted counters. Informational
-    /// counters (slots >= [`BUDGETED`]) are deliberately excluded so that
-    /// incremental-kernel savings can never move an rlimit trip point.
+    /// Total units spent across all counters.
     pub fn spent(&self) -> u64 {
-        self.counters[..BUDGETED]
+        self.counters
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .sum()
@@ -204,14 +185,13 @@ impl ResourceMeter {
             ematch_rounds: self.get(Counter::EmatchRounds),
             instantiations: self.get(Counter::Instantiations),
             bitblast_clauses: self.get(Counter::BitblastClauses),
-            ematch_skipped: self.get(Counter::EmatchSkipped),
-            theory_reuse: self.get(Counter::TheoryReuse),
+            ..MeterSnapshot::default()
         }
     }
 }
 
 /// Plain-value counter snapshot. `Eq` so determinism tests can compare
-/// whole runs directly.
+/// whole runs directly. Each field but the last two is one [`Counter`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MeterSnapshot {
     pub sat_conflicts: u64,
@@ -223,13 +203,17 @@ pub struct MeterSnapshot {
     pub ematch_rounds: u64,
     pub instantiations: u64,
     pub bitblast_clauses: u64,
+    /// Always 0: no counter feeds it. Kept only because the benchmark's
+    /// trace reader still reports it.
     pub ematch_skipped: u64,
+    /// Always 0: no counter feeds it. Kept only because the benchmark's
+    /// trace reader still reports it.
     pub theory_reuse: u64,
 }
 
 impl MeterSnapshot {
-    /// Sum of the *budgeted* counters only — the quantity `rlimit` budgets
-    /// against and reports serialize. Informational counters are excluded.
+    /// Sum of the counters — the quantity `rlimit` budgets against and
+    /// reports serialize.
     pub fn total(&self) -> u64 {
         self.sat_conflicts
             + self.sat_decisions
@@ -253,8 +237,6 @@ impl MeterSnapshot {
             Counter::EmatchRounds => self.ematch_rounds,
             Counter::Instantiations => self.instantiations,
             Counter::BitblastClauses => self.bitblast_clauses,
-            Counter::EmatchSkipped => self.ematch_skipped,
-            Counter::TheoryReuse => self.theory_reuse,
         }
     }
 
@@ -271,8 +253,7 @@ impl MeterSnapshot {
             ematch_rounds: self.ematch_rounds + other.ematch_rounds,
             instantiations: self.instantiations + other.instantiations,
             bitblast_clauses: self.bitblast_clauses + other.bitblast_clauses,
-            ematch_skipped: self.ematch_skipped + other.ematch_skipped,
-            theory_reuse: self.theory_reuse + other.theory_reuse,
+            ..MeterSnapshot::default()
         }
     }
 
@@ -291,13 +272,11 @@ impl MeterSnapshot {
         out
     }
 
-    /// JSON over the *budgeted* counters plus their total. Informational
-    /// counters are excluded on purpose: profile/explain JSON must not
-    /// depend on how much work the incremental kernel skipped.
+    /// JSON over the counters plus their total.
     pub fn to_json(&self) -> String {
         let mut fields: Vec<String> = Vec::new();
-        for c in &COUNTERS[..BUDGETED] {
-            fields.push(format!("\"{}\":{}", c.name(), self.get(*c)));
+        for c in COUNTERS {
+            fields.push(format!("\"{}\":{}", c.name(), self.get(c)));
         }
         fields.push(format!("\"total\":{}", self.total()));
         format!("{{{}}}", fields.join(","))
@@ -351,29 +330,23 @@ mod tests {
     }
 
     #[test]
-    fn informational_counters_never_budget_or_serialize() {
-        let m = ResourceMeter::with_limit(Some(5));
-        m.charge(Counter::EmatchSkipped, 100);
-        m.charge(Counter::TheoryReuse, 100);
-        assert_eq!(m.spent(), 0, "savings counters are not budgeted");
-        assert!(!m.check("ematch"));
-        m.charge(Counter::SatConflicts, 6);
-        assert!(m.check("sat"));
+    fn every_counter_is_budgeted_and_serialized() {
+        let n = COUNTERS.len() as u64;
+        let m = ResourceMeter::with_limit(Some(n - 1));
+        for c in COUNTERS {
+            m.charge(c, 1);
+        }
+        assert_eq!(m.spent(), n);
+        assert!(m.check("all"));
         let s = m.snapshot();
-        assert_eq!(s.ematch_skipped, 100);
-        assert_eq!(s.theory_reuse, 100);
-        assert_eq!(s.total(), 6, "total() covers budgeted counters only");
+        assert_eq!(s.total(), n);
         let json = s.to_json();
-        assert!(!json.contains("ematch-skipped"));
-        assert!(!json.contains("theory-reuse"));
-        assert!(s.render().contains("ematch-skipped"));
-        let roundtrip = ResourceMeter::new();
-        roundtrip.precharge(&s);
-        assert_eq!(
-            roundtrip.snapshot(),
-            s,
-            "precharge carries informational counters too"
-        );
+        for c in COUNTERS {
+            assert!(json.contains(&format!("\"{}\":1", c.name())), "{json}");
+        }
+        let copy = ResourceMeter::new();
+        copy.precharge(&s);
+        assert_eq!(copy.snapshot(), s, "precharge carries every counter");
     }
 
     #[test]

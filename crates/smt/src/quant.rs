@@ -196,15 +196,6 @@ fn cover_greedy(
 pub struct ClassIndex {
     parent: HashMap<TermId, TermId>,
     members: HashMap<TermId, Vec<TermId>>,
-    /// Consultation probe: set by [`ClassIndex::find`] (and hence
-    /// [`ClassIndex::members_of`]) since the last [`ClassIndex::reset_probe`].
-    /// The watermark e-matcher brackets each trigger-group computation with
-    /// reset/read — a group whose matches were decided without ever touching
-    /// the partition (every bucket term matched syntactically on the first
-    /// try: the common `f(x, y)` trigger shape) is a pure function of the
-    /// term store and its ground buckets, so its cached bindings stay valid
-    /// across class merges.
-    probed: std::cell::Cell<bool>,
 }
 
 impl ClassIndex {
@@ -213,7 +204,6 @@ impl ClassIndex {
     }
 
     pub fn find(&self, mut t: TermId) -> TermId {
-        self.probed.set(true);
         while let Some(&p) = self.parent.get(&t) {
             if p == t {
                 break;
@@ -221,17 +211,6 @@ impl ClassIndex {
             t = p;
         }
         t
-    }
-
-    /// Clear the consultation probe (see the field doc).
-    pub fn reset_probe(&self) {
-        self.probed.set(false);
-    }
-
-    /// Whether [`ClassIndex::find`] ran since the last
-    /// [`ClassIndex::reset_probe`].
-    pub fn probed(&self) -> bool {
-        self.probed.get()
     }
 
     pub fn union(&mut self, a: TermId, b: TermId) {
@@ -397,106 +376,17 @@ pub fn pattern_head(store: &TermStore, t: TermId) -> Option<PatternHead> {
     }
 }
 
-/// One pattern step of the per-group fold: extend every binding in
-/// `partial` against every term in `grounds`, appending successes to
-/// `next`, with exactly the per-element limit discipline of the original
-/// batch enumerator (the count is checked after *every* ground term, match
-/// or not). Returns `true` when the limit break fired.
-///
-/// `next` may arrive non-empty: the watermark e-matcher seeds it with the
-/// raw bindings cached from the previous round and passes only the ground
-/// terms beyond its high-water mark, which reproduces the batch fold's
-/// state at that point byte for byte (the cached prefix is exactly what
-/// the batch fold would have accumulated over `grounds[..wm]`).
-pub fn match_step(
-    store: &TermStore,
-    classes: &ClassIndex,
-    pat: TermId,
-    partial: &[Vec<(u32, TermId)>],
-    grounds: &[TermId],
-    limit: usize,
-    next: &mut Vec<Vec<(u32, TermId)>>,
-) -> bool {
-    for binding in partial {
-        for &g in grounds {
-            let mut b = binding.clone();
-            if match_pattern(store, classes, pat, g, &mut b) {
-                next.push(b);
-            }
-            if next.len() > limit {
-                return true;
-            }
-        }
-        if next.len() > limit {
-            return true;
-        }
-    }
-    false
-}
-
-/// Raw (pre-assembly) bindings for one trigger group: the inner fold of
-/// the batch enumerator, factored out so the solver's watermark e-matcher
-/// can recompute a single group. A pattern with no matchable head or an
-/// empty ground bucket yields no bindings, exactly as in the batch path.
-pub fn match_group(
-    store: &TermStore,
-    classes: &ClassIndex,
-    group: &[TermId],
-    ground_index: &HashMap<PatternHead, Vec<TermId>>,
-    limit: usize,
-) -> Vec<Vec<(u32, TermId)>> {
-    let mut partial: Vec<Vec<(u32, TermId)>> = vec![vec![]];
-    for &pat in group {
-        let head = match pattern_head(store, pat) {
-            Some(h) => h,
-            None => return Vec::new(),
-        };
-        let grounds = match ground_index.get(&head) {
-            Some(g) => g,
-            None => return Vec::new(),
-        };
-        let mut next = Vec::new();
-        match_step(store, classes, pat, &partial, grounds, limit, &mut next);
-        partial = next;
-        if partial.is_empty() {
-            return partial;
-        }
-    }
-    partial
-}
-
-/// Assembly tail for one group's raw bindings: completeness filter,
-/// canonicalization (sort by var index, drop extras), dedup against `out`,
-/// and the global limit check after every element. Returns `true` when the
-/// global limit fired and enumeration must stop mid-group.
-pub fn assemble_group(
-    quant: &Quant,
-    raw: Vec<Vec<(u32, TermId)>>,
-    out: &mut Vec<Vec<(u32, TermId)>>,
-    limit: usize,
-) -> bool {
-    for mut b in raw {
-        // Only keep complete bindings.
-        if quant
-            .vars
-            .iter()
-            .all(|&(i, _)| b.iter().any(|&(j, _)| j == i))
-        {
-            b.sort_by_key(|&(i, _)| i);
-            b.retain(|&(i, _)| quant.vars.iter().any(|&(qi, _)| qi == i));
-            if !out.contains(&b) {
-                out.push(b);
-            }
-        }
-        if out.len() > limit {
-            return true;
-        }
-    }
-    false
-}
-
 /// Enumerate all complete bindings of `quant` against the ground term index.
 /// `ground_index` maps pattern heads to ground terms with that head.
+///
+/// Each trigger group folds its patterns left to right: every partial
+/// binding is extended against every term in the pattern's ground bucket,
+/// and the fold stops once it holds more than `limit` bindings (checked
+/// after every ground term, match or not). A pattern with no matchable head
+/// or an empty bucket makes the group yield nothing. The group's complete
+/// bindings are then canonicalized (sorted by variable index, extras
+/// dropped) and appended to the output unless already present; enumeration
+/// stops as soon as the output holds `limit + 1` bindings.
 pub fn enumerate_matches(
     store: &TermStore,
     classes: &ClassIndex,
@@ -506,9 +396,45 @@ pub fn enumerate_matches(
 ) -> Vec<Vec<(u32, TermId)>> {
     let mut out: Vec<Vec<(u32, TermId)>> = Vec::new();
     for group in &quant.triggers {
-        let raw = match_group(store, classes, group, ground_index, limit);
-        if assemble_group(quant, raw, &mut out, limit) {
-            return out;
+        let mut partial: Vec<Vec<(u32, TermId)>> = vec![vec![]];
+        for &pat in group {
+            let Some(grounds) = pattern_head(store, pat).and_then(|h| ground_index.get(&h)) else {
+                partial.clear();
+                break;
+            };
+            let mut next = Vec::new();
+            'fold: for binding in &partial {
+                for &g in grounds {
+                    let mut b = binding.clone();
+                    if match_pattern(store, classes, pat, g, &mut b) {
+                        next.push(b);
+                    }
+                    if next.len() > limit {
+                        break 'fold;
+                    }
+                }
+            }
+            partial = next;
+            if partial.is_empty() {
+                break;
+            }
+        }
+        for mut b in partial {
+            // Only keep complete bindings.
+            if quant
+                .vars
+                .iter()
+                .all(|&(i, _)| b.iter().any(|&(j, _)| j == i))
+            {
+                b.sort_by_key(|&(i, _)| i);
+                b.retain(|&(i, _)| quant.vars.iter().any(|&(qi, _)| qi == i));
+                if !out.contains(&b) {
+                    out.push(b);
+                }
+            }
+            if out.len() > limit {
+                return out;
+            }
         }
     }
     out
@@ -663,5 +589,133 @@ mod tests {
         index.insert(PatternHead::Func(f), vec![f1, f2]);
         let ms = enumerate_matches(&s, &ClassIndex::new(), &q, &index, 100);
         assert_eq!(ms.len(), 2);
+    }
+
+    /// A quantifier over `vars` whose one trigger is `pat`; matching never
+    /// reads the body.
+    fn quant_on(s: &mut TermStore, vars: Vec<(u32, SortId)>, pat: TermId) -> Quant {
+        let body = s.mk_eq(pat, pat);
+        Quant {
+            is_forall: true,
+            vars,
+            triggers: vec![vec![pat]],
+            body,
+            qid: s.sym("q"),
+        }
+    }
+
+    #[test]
+    fn enumerate_matches_through_class_member() {
+        // f(g(x)) against f(c): the argument c is not a g-application, so
+        // the match goes through c's class member g(d) and binds x = d.
+        let mut s = TermStore::new();
+        let int = s.int_sort();
+        let f = s.declare_fun("f", vec![int], int);
+        let g = s.declare_fun("g", vec![int], int);
+        let x = s.mk_bound(0, int);
+        let gx = s.mk_app(g, vec![x]);
+        let pat = s.mk_app(f, vec![gx]);
+        let q = quant_on(&mut s, vec![(0, int)], pat);
+        let c = s.mk_var("c", int);
+        let d = s.mk_var("d", int);
+        let gd = s.mk_app(g, vec![d]);
+        let fc = s.mk_app(f, vec![c]);
+        let mut index = HashMap::new();
+        index.insert(PatternHead::Func(f), vec![fc]);
+        let none = enumerate_matches(&s, &ClassIndex::new(), &q, &index, 100);
+        assert!(none.is_empty(), "no match without the class: {none:?}");
+        let mut classes = ClassIndex::new();
+        classes.union(gd, c);
+        let ms = enumerate_matches(&s, &classes, &q, &index, 100);
+        assert_eq!(ms, vec![vec![(0, d)]]);
+    }
+
+    #[test]
+    fn enumerate_matches_repeated_variable_modulo_classes() {
+        // h(x, x) against h(a, b) matches only once a ~ b, binding x to the
+        // first occurrence.
+        let mut s = TermStore::new();
+        let int = s.int_sort();
+        let h = s.declare_fun("h", vec![int, int], int);
+        let x = s.mk_bound(0, int);
+        let pat = s.mk_app(h, vec![x, x]);
+        let q = quant_on(&mut s, vec![(0, int)], pat);
+        let a = s.mk_var("a", int);
+        let b = s.mk_var("b", int);
+        let hab = s.mk_app(h, vec![a, b]);
+        let mut index = HashMap::new();
+        index.insert(PatternHead::Func(h), vec![hab]);
+        assert!(enumerate_matches(&s, &ClassIndex::new(), &q, &index, 100).is_empty());
+        let mut classes = ClassIndex::new();
+        classes.union(a, b);
+        let ms = enumerate_matches(&s, &classes, &q, &index, 100);
+        assert_eq!(ms, vec![vec![(0, a)]]);
+    }
+
+    #[test]
+    fn class_member_fanout_is_capped() {
+        // f(g(x)) against f(c), where c's class lists c first, then `pad`
+        // plain constants, then g(d). Members past position CLASS_FANOUT
+        // are never tried.
+        let match_with_padding = |pad: usize| {
+            let mut s = TermStore::new();
+            let int = s.int_sort();
+            let f = s.declare_fun("f", vec![int], int);
+            let g = s.declare_fun("g", vec![int], int);
+            let x = s.mk_bound(0, int);
+            let gx = s.mk_app(g, vec![x]);
+            let pat = s.mk_app(f, vec![gx]);
+            let q = quant_on(&mut s, vec![(0, int)], pat);
+            let c = s.mk_var("c", int);
+            let fc = s.mk_app(f, vec![c]);
+            let mut classes = ClassIndex::new();
+            for i in 0..pad {
+                let k = s.mk_var(&format!("k{i}"), int);
+                classes.union(k, c);
+            }
+            let d = s.mk_var("d", int);
+            let gd = s.mk_app(g, vec![d]);
+            classes.union(gd, c);
+            assert_eq!(
+                classes.members_of(c).iter().position(|&m| m == gd),
+                Some(pad + 1)
+            );
+            let mut index = HashMap::new();
+            index.insert(PatternHead::Func(f), vec![fc]);
+            enumerate_matches(&s, &classes, &q, &index, 100).len()
+        };
+        assert_eq!(match_with_padding(CLASS_FANOUT - 1), 1, "last member tried");
+        assert_eq!(match_with_padding(CLASS_FANOUT), 0, "first member cut off");
+    }
+
+    #[test]
+    fn enumerate_matches_stops_at_limit_plus_one() {
+        let mut s = TermStore::new();
+        let int = s.int_sort();
+        let f = s.declare_fun("f", vec![int], int);
+        let x = s.mk_bound(0, int);
+        let pat = s.mk_app(f, vec![x]);
+        let q = quant_on(&mut s, vec![(0, int)], pat);
+        let grounds: Vec<TermId> = (0..10)
+            .map(|i| {
+                let n = s.mk_int(i);
+                s.mk_app(f, vec![n])
+            })
+            .collect();
+        let mut index = HashMap::new();
+        index.insert(PatternHead::Func(f), grounds.clone());
+        for limit in [0, 3, 9] {
+            let ms = enumerate_matches(&s, &ClassIndex::new(), &q, &index, limit);
+            assert_eq!(ms.len(), limit + 1, "limit {limit}");
+            // The bindings are the first limit + 1 ground terms, in order.
+            for (b, &g) in ms.iter().zip(&grounds) {
+                let TermKind::App(_, args) = s.kind(g) else {
+                    unreachable!()
+                };
+                assert_eq!(b, &vec![(0, args[0])]);
+            }
+        }
+        let all = enumerate_matches(&s, &ClassIndex::new(), &q, &index, 10);
+        assert_eq!(all.len(), 10, "no break below the limit");
     }
 }

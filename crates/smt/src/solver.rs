@@ -17,8 +17,7 @@ use veris_obs::{Counter, QuantProfile, ResourceMeter};
 use crate::euf::{Euf, EufMark, NodeId};
 use crate::lia::{LVar, Lia, LiaLimit, LiaMark, LiaOutcome, Overflow};
 use crate::quant::{
-    assemble_group, enumerate_matches, infer_triggers, match_group, match_step, pattern_head,
-    ClassIndex, PatternHead, TriggerPolicy,
+    enumerate_matches, infer_triggers, pattern_head, ClassIndex, PatternHead, TriggerPolicy,
 };
 use crate::sat::{FinalCheck, LBool, Lit, SatResult, SatSolver};
 use crate::term::{Quant, Sort, SortId, StoreMark, TermId, TermKind, TermStore};
@@ -26,72 +25,6 @@ use crate::term::{Quant, Sort, SortId, StoreMark, TermId, TermKind, TermStore};
 /// An instantiation staged by an e-matching round: (quantifier proxy
 /// literal, quantifier term, variable binding, instantiated body).
 type PendingInstance = (Lit, TermId, Vec<(u32, TermId)>, TermId);
-
-/// Per-quantifier instantiation dedup: a fingerprint fast-path over the
-/// exact binding set, so the common already-seen candidate is rejected
-/// without cloning the binding vector (the clone now happens only for
-/// genuinely new instances, which need it anyway).
-#[derive(Clone, Default)]
-struct QuantInstances {
-    fps: HashSet<u64>,
-    exact: HashSet<Vec<(u32, TermId)>>,
-}
-
-/// FNV-1a over the (var, term) stream. A collision only costs a fall-through
-/// to the exact set, never a wrong dedup verdict.
-fn binding_fingerprint(b: &[(u32, TermId)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &(i, t) in b {
-        for w in [i as u64, t.0 as u64] {
-            h ^= w;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Cached e-matching state for one trigger group of one quantifier.
-struct GroupCache {
-    /// Per-pattern (head, high-water mark into that head's ground bucket).
-    /// A `None` head (whole-body fallback trigger) can never match, so the
-    /// group permanently yields no raw bindings — exactly `match_group`'s
-    /// bail-out.
-    pats: Vec<(Option<PatternHead>, usize)>,
-    /// Raw (pre-assembly) bindings, as `match_group` would produce them
-    /// over the watermarked prefix of each bucket.
-    raw: Vec<Vec<(u32, TermId)>>,
-    /// Whether the last (re)computation of `raw` consulted the class
-    /// partition at all ([`ClassIndex`]'s consultation probe). Groups whose
-    /// matching was decided purely syntactically — every bucket term matched
-    /// on the first try, no repeated-variable class check, no class-member
-    /// fallback — are pure functions of the term store and their buckets,
-    /// so their cache survives class merges. The flag always describes the
-    /// current `raw` contents (empty bindings are vacuously independent),
-    /// so delta extensions OR in the probe rather than overwrite it.
-    partition_dependent: bool,
-}
-
-/// Per-quantifier watermark cache. Partition-dependent groups are valid
-/// only while the class index is unchanged (the solver resets them the
-/// moment the partition moves); partition-independent groups survive.
-struct QuantEmatch {
-    groups: Vec<GroupCache>,
-}
-
-/// Persistent e-matching state. The class index survives across rounds and
-/// is advanced by the *suffix* of newly-true equality atoms; per-quantifier
-/// raw bindings survive until their ground buckets grow, and across class
-/// merges too when the consultation probe proved them partition-independent.
-/// Reset wholesale on [`Solver::pop`] (term ids above the mark are reused),
-/// which also keeps module-session info counters identical to a fresh
-/// solver's.
-#[derive(Default)]
-struct EmatchState {
-    classes: ClassIndex,
-    /// Equality pairs (in atom order) the class index was built from.
-    eq_pairs: Vec<(TermId, TermId)>,
-    quants: HashMap<TermId, QuantEmatch>,
-}
 
 /// Cap on new instances per quantifier per round.
 const MAX_INSTANCES_PER_ROUND: usize = 3000;
@@ -188,8 +121,8 @@ pub struct Solver {
     ground_index: HashMap<PatternHead, Vec<TermId>>,
     /// Ground terms by sort (EPR universe).
     ground_by_sort: HashMap<SortId, Vec<TermId>>,
-    /// Seen instantiations per quantifier, with a fingerprint fast-path.
-    instances: HashMap<TermId, QuantInstances>,
+    /// Seen instantiation bindings per quantifier.
+    instances: HashMap<TermId, HashSet<Vec<(u32, TermId)>>>,
     /// Shared-argument equality atoms already materialized (theory
     /// combination).
     combo_splits: HashSet<(TermId, TermId)>,
@@ -227,8 +160,6 @@ pub struct Solver {
     profile: QuantProfile,
     /// Open assertion frames (see [`Solver::push`]).
     frames: Vec<SolverFrame>,
-    /// Persistent watermark e-matching state (reset on [`Solver::pop`]).
-    ematch: EmatchState,
 }
 
 /// Snapshot of the formula-layer state for [`Solver::push`]/[`Solver::pop`].
@@ -249,7 +180,7 @@ struct SolverFrame {
     registered: HashSet<TermId>,
     ground_index: HashMap<PatternHead, Vec<TermId>>,
     ground_by_sort: HashMap<SortId, Vec<TermId>>,
-    instances: HashMap<TermId, QuantInstances>,
+    instances: HashMap<TermId, HashSet<Vec<(u32, TermId)>>>,
     combo_splits: HashSet<(TermId, TermId)>,
     term_gen: HashMap<TermId, u32>,
     divmod_done: HashSet<TermId>,
@@ -299,7 +230,6 @@ impl Solver {
             meter: None,
             profile: QuantProfile::new(),
             frames: Vec::new(),
-            ematch: EmatchState::default(),
         }
     }
 
@@ -369,11 +299,6 @@ impl Solver {
         self.stats = f.stats;
         self.profile = f.profile;
         self.queue.clear();
-        // The e-matching cache references term ids the truncation just
-        // freed for reuse — drop it wholesale. A fresh solver also starts
-        // every check with an empty cache, so reuse counters replay
-        // identically in module sessions.
-        self.ematch = EmatchState::default();
     }
 
     /// Number of open assertion frames.
@@ -395,14 +320,6 @@ impl Solver {
     /// Quantifier-instantiation profile accumulated so far.
     pub fn profile(&self) -> &QuantProfile {
         &self.profile
-    }
-
-    pub fn with_defaults() -> Solver {
-        Solver::new(Config::default())
-    }
-
-    pub fn config(&self) -> &Config {
-        &self.config
     }
 
     /// Assert a boolean formula.
@@ -996,15 +913,15 @@ impl Solver {
             m.charge(Counter::EmatchRounds, 1);
         }
         // E-matching works modulo the equivalence classes of the equality
-        // atoms true in the current model (poor man's e-graph), kept in a
-        // persistent index advanced by the newly-true suffix. EPR saturation
-        // enumerates the ground universe and never reads the index, so EPR
-        // sessions do not maintain it.
+        // atoms true in the current model (poor man's e-graph), built fresh
+        // each round in atom order. EPR saturation enumerates the ground
+        // universe and never reads the index.
         let epr = self.config.epr_mode;
-        let mut state = std::mem::take(&mut self.ematch);
-        if !epr {
-            self.advance_classes(&mut state);
-        }
+        let classes = if epr {
+            ClassIndex::new()
+        } else {
+            self.current_classes()
+        };
         let limit = MAX_INSTANCES_PER_ROUND;
         let mut new_instances: Vec<PendingInstance> = Vec::new();
         for qi in 0..self.quants.len() {
@@ -1019,15 +936,7 @@ impl Solver {
             let bindings = if epr {
                 self.epr_bindings(&q)
             } else {
-                let b = self.watermark_matches(&state.classes, &mut state.quants, qterm, &q, limit);
-                // The watermark kernel must reproduce the full enumeration
-                // exactly (values and order); checked in every debug build.
-                debug_assert_eq!(
-                    b,
-                    enumerate_matches(&self.store, &state.classes, &q, &self.ground_index, limit),
-                    "watermark e-matching diverged from enumerate_matches"
-                );
-                b
+                enumerate_matches(&self.store, &classes, &q, &self.ground_index, limit)
             };
             let qname = self.store.sym_name(q.qid).to_owned();
             self.profile.record(&qname, 0, bindings.len() as u64, 0);
@@ -1042,15 +951,11 @@ impl Solver {
                 if bgen >= self.config.max_generation {
                     continue;
                 }
-                {
-                    let qinst = self.instances.entry(qterm).or_default();
-                    let fp = binding_fingerprint(&b);
-                    if qinst.fps.contains(&fp) && qinst.exact.contains(b.as_slice()) {
-                        continue;
-                    }
-                    qinst.fps.insert(fp);
-                    qinst.exact.insert(b.clone());
+                let seen = self.instances.entry(qterm).or_default();
+                if seen.contains(&b) {
+                    continue;
                 }
+                seen.insert(b.clone());
                 let inst = self.store.substitute(q.body, &b);
                 new_instances.push((proxy, qterm, b, inst));
                 if new_instances.len() >= limit {
@@ -1058,7 +963,6 @@ impl Solver {
                 }
             }
         }
-        self.ematch = state;
         let n = new_instances.len();
         for (proxy, q, b, inst) in new_instances {
             self.stats.instantiations += 1;
@@ -1087,179 +991,19 @@ impl Solver {
         n
     }
 
-    /// Advance the persistent class index by the suffix of newly-true
-    /// equality atoms. Pairs are collected in atom order, so when the
-    /// previous round's list is a prefix of this round's, replaying only
-    /// the suffix leaves the index byte-identical to a fresh build over the
-    /// full list (same union sequence ⇒ same parent links and member
-    /// order, which matching depends on). Any other change — an equality
-    /// went false under the new boolean model — forces a fresh rebuild.
-    /// Whenever the partition actually moved, every *partition-dependent*
-    /// cached binding set is invalidated (matching is modulo these
-    /// classes); groups the consultation probe proved syntactic keep their
-    /// watermarks.
-    fn advance_classes(&self, state: &mut EmatchState) {
-        let mut cur: Vec<(TermId, TermId)> = Vec::new();
+    /// The class index over the equality atoms true in the current boolean
+    /// model, unioned in atom order (matching depends on the resulting
+    /// parent links and member order, so the order is part of the result).
+    fn current_classes(&self) -> ClassIndex {
+        let mut classes = ClassIndex::new();
         for &(t, lit) in &self.atoms {
             if self.sat.value(lit) == LBool::True {
                 if let TermKind::Eq(a, b) = self.store.kind(t) {
-                    cur.push((*a, *b));
+                    classes.union(*a, *b);
                 }
             }
         }
-        let is_prefix =
-            cur.len() >= state.eq_pairs.len() && cur[..state.eq_pairs.len()] == state.eq_pairs[..];
-        let mut changed = false;
-        if is_prefix {
-            for &(a, b) in &cur[state.eq_pairs.len()..] {
-                if state.classes.find(a) != state.classes.find(b) {
-                    changed = true;
-                }
-                state.classes.union(a, b);
-            }
-        } else {
-            state.classes = ClassIndex::new();
-            for &(a, b) in &cur {
-                state.classes.union(a, b);
-            }
-            changed = true;
-        }
-        if changed {
-            // Partition moved: reset every cached group whose matches
-            // consulted the old partition (their raw bindings may be stale
-            // in value or order). Partition-independent groups — decided
-            // purely syntactically — keep their watermarks and bindings.
-            for qc in state.quants.values_mut() {
-                for g in &mut qc.groups {
-                    if g.partition_dependent {
-                        g.raw.clear();
-                        g.partition_dependent = false;
-                        for p in &mut g.pats {
-                            p.1 = 0;
-                        }
-                    }
-                }
-            }
-        }
-        state.eq_pairs = cur;
-    }
-
-    /// Watermark e-matching for one quantifier: serve, delta-extend, or
-    /// recompute each trigger group's raw bindings against the ground
-    /// index, then run the batch assembly tail over them. The output is
-    /// value- and order-identical to `enumerate_matches` over the full
-    /// index:
-    ///
-    /// - a group none of whose buckets grew is served from cache (its raw
-    ///   bindings are exactly what the batch fold would recompute);
-    /// - a single-pattern group whose bucket grew is extended over
-    ///   `bucket[wm..]` only, seeding the fold with the cached prefix
-    ///   result — unless its per-group limit already fired inside the old
-    ///   prefix, in which case the batch fold over the grown bucket breaks
-    ///   at the same element and the cache is served frozen;
-    /// - a multi-pattern group whose buckets grew is recomputed in full
-    ///   (cross-product deltas would not preserve binding order).
-    ///
-    /// Work skipped by served/extended groups is charged to the
-    /// informational `ematch-skipped` counter (never budgeted, never
-    /// serialized into profile/explain JSON).
-    fn watermark_matches(
-        &self,
-        classes: &ClassIndex,
-        quants: &mut HashMap<TermId, QuantEmatch>,
-        qterm: TermId,
-        q: &Quant,
-        limit: usize,
-    ) -> Vec<Vec<(u32, TermId)>> {
-        let qc = quants
-            .entry(qterm)
-            .or_insert_with(|| QuantEmatch { groups: Vec::new() });
-        if qc.groups.len() != q.triggers.len() {
-            qc.groups = q
-                .triggers
-                .iter()
-                .map(|group| GroupCache {
-                    pats: group
-                        .iter()
-                        .map(|&p| (pattern_head(&self.store, p), 0usize))
-                        .collect(),
-                    raw: Vec::new(),
-                    partition_dependent: false,
-                })
-                .collect();
-        }
-        let mut skipped: u64 = 0;
-        for (gi, g) in qc.groups.iter_mut().enumerate() {
-            if g.pats.iter().any(|&(h, _)| h.is_none()) {
-                // Unmatchable pattern: the group yields nothing, ever.
-                continue;
-            }
-            let lens: Vec<usize> = g
-                .pats
-                .iter()
-                .map(|&(h, _)| {
-                    self.ground_index
-                        .get(&h.expect("checked above"))
-                        .map_or(0, |b| b.len())
-                })
-                .collect();
-            debug_assert!(
-                g.pats.iter().zip(&lens).all(|(&(_, wm), &len)| len >= wm),
-                "ground buckets never shrink within a frame"
-            );
-            let unchanged = g.pats.iter().zip(&lens).all(|(&(_, wm), &len)| len == wm);
-            if unchanged {
-                skipped += g.pats.iter().map(|&(_, wm)| wm as u64).sum::<u64>();
-                continue;
-            }
-            let group = &q.triggers[gi];
-            if group.len() == 1 {
-                if g.raw.len() > limit {
-                    // Limit fired inside the cached prefix; the batch fold
-                    // over the grown bucket breaks at the same element.
-                    skipped += g.pats[0].1 as u64;
-                    continue;
-                }
-                let head = g.pats[0].0.expect("checked above");
-                let wm = g.pats[0].1;
-                let bucket = self.ground_index.get(&head).expect("len > 0 bucket");
-                skipped += wm as u64;
-                let seed: [Vec<(u32, TermId)>; 1] = [Vec::new()];
-                let mut next = std::mem::take(&mut g.raw);
-                classes.reset_probe();
-                match_step(
-                    &self.store,
-                    classes,
-                    group[0],
-                    &seed,
-                    &bucket[wm..],
-                    limit,
-                    &mut next,
-                );
-                g.partition_dependent |= classes.probed();
-                g.raw = next;
-                g.pats[0].1 = lens[0];
-            } else {
-                classes.reset_probe();
-                g.raw = match_group(&self.store, classes, group, &self.ground_index, limit);
-                g.partition_dependent = classes.probed();
-                for (p, &len) in g.pats.iter_mut().zip(&lens) {
-                    p.1 = len;
-                }
-            }
-        }
-        if skipped > 0 {
-            if let Some(m) = &self.meter {
-                m.charge(Counter::EmatchSkipped, skipped);
-            }
-        }
-        let mut out: Vec<Vec<(u32, TermId)>> = Vec::new();
-        for g in &qc.groups {
-            if assemble_group(q, g.raw.clone(), &mut out, limit) {
-                break;
-            }
-        }
-        out
+        classes
     }
 
     /// Theory-combination round: materialize equality atoms between int

@@ -16,6 +16,7 @@
 //! a temp file + rename so concurrent workers never observe a torn entry.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use veris_obs::{DiagItem, Diagnostic, MeterSnapshot, PhaseTimes, QuantProfile, Severity};
 use veris_vir::module::{Krate, Module};
@@ -40,7 +41,9 @@ use crate::wp::WpResult;
 /// on the SAT trail, so the same inputs give different meter totals (and
 /// may give different unsat cores and counterexample bindings).
 /// v7: one e-matching kernel (no `batch=` component), no `theory_reuse` field.
-pub const CACHE_SCHEMA_VERSION: u32 = 7;
+/// v8: the watermark e-matching cache is gone, and with it the meter line's
+/// `ematch_skipped` field.
+pub const CACHE_SCHEMA_VERSION: u32 = 8;
 
 // ----------------------------------------------------------------------
 // Fingerprinting
@@ -169,7 +172,7 @@ pub fn render_entry(rep: &FnReport) -> String {
     ));
     let m = &rep.meter;
     out.push_str(&format!(
-        "meter\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        "meter\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
         m.sat_conflicts,
         m.sat_decisions,
         m.sat_propagations,
@@ -178,8 +181,7 @@ pub fn render_entry(rep: &FnReport) -> String {
         m.branch_splits,
         m.ematch_rounds,
         m.instantiations,
-        m.bitblast_clauses,
-        m.ematch_skipped
+        m.bitblast_clauses
     ));
     for (name, q) in rep.profile.iter() {
         out.push_str(&format!(
@@ -262,7 +264,7 @@ pub fn parse_entry(text: &str) -> Option<FnReport> {
                 rep.hyps_asserted = f[5].parse().ok()?;
                 rep.hyps_used = f[6].parse().ok()?;
             }
-            "meter" if f.len() == 11 => {
+            "meter" if f.len() == 10 => {
                 rep.meter = MeterSnapshot {
                     sat_conflicts: f[1].parse().ok()?,
                     sat_decisions: f[2].parse().ok()?,
@@ -273,7 +275,6 @@ pub fn parse_entry(text: &str) -> Option<FnReport> {
                     ematch_rounds: f[7].parse().ok()?,
                     instantiations: f[8].parse().ok()?,
                     bitblast_clauses: f[9].parse().ok()?,
-                    ematch_skipped: f[10].parse().ok()?,
                     ..MeterSnapshot::default()
                 };
             }
@@ -326,15 +327,20 @@ pub fn load(dir: &Path, fp: &str) -> Option<FnReport> {
 }
 
 /// Persist a report under its fingerprint, atomically (temp + rename).
-/// Failures are silent: the cache is an accelerator, never a correctness
-/// dependency.
+/// Each write gets its own temp file (process id plus a process-wide
+/// sequence number), so threads and processes storing the same fingerprint
+/// never write into one temp file. Failures are silent: the cache is an
+/// accelerator, never a correctness dependency.
 pub fn store(dir: &Path, fp: &str, rep: &FnReport) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }
-    let tmp = dir.join(format!("{fp}.tmp.{}", std::process::id()));
-    if std::fs::write(&tmp, render_entry(rep)).is_ok() {
-        let _ = std::fs::rename(&tmp, dir.join(fp));
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!("{fp}.tmp.{}.{seq}", std::process::id()));
+    let written = std::fs::write(&tmp, render_entry(rep)).is_ok();
+    if !written || std::fs::rename(&tmp, dir.join(fp)).is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
@@ -468,6 +474,41 @@ mod tests {
         assert_eq!(n, 1);
         assert!(bytes > 0);
         assert!(load(&dir, "ffffffffffffffffffffffffffffffff").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_fingerprint_leave_one_whole_entry() {
+        let dir =
+            std::env::temp_dir().join(format!("veris-cache-race-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let rep = sample_report();
+        let fp = "0123abcd0123abcd0123abcd0123abcd";
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        store(&dir, fp, &rep);
+                    }
+                });
+            }
+        });
+        let back = load(&dir, fp).expect("a whole entry");
+        assert_eq!(render_entry(&back), render_entry(&rep));
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("cache dir")
+            .map(|e| {
+                e.expect("dir entry")
+                    .file_name()
+                    .to_string_lossy()
+                    .into_owned()
+            })
+            .collect();
+        assert!(
+            names.iter().all(|n| !n.contains(".tmp.")),
+            "temp files left behind: {names:?}"
+        );
+        assert_eq!(names, vec![fp.to_owned()]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -25,8 +25,8 @@ pub mod wp;
 
 pub use style::Style;
 pub use verify::{
-    time_to_error, verify_function, verify_krate, FnReport, KrateReport, ProverOutcome,
-    ProverRegistry, Status, VcConfig, DEFAULT_RLIMIT,
+    verify_function, verify_krate, FnReport, KrateReport, ProverOutcome, ProverRegistry, Status,
+    VcConfig, DEFAULT_RLIMIT,
 };
 // Observability types surfaced in reports, re-exported for downstream use.
 pub use veris_lint::{ids as lint_ids, lint_krate, LintReport};

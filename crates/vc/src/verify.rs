@@ -1132,11 +1132,3 @@ fn inject_style_noise(solver: &mut Solver, style: Style, assigns: &[AssignEvent]
         }
     }
 }
-
-/// Diagnose a failing function: re-run and report, measuring time-to-error
-/// (the paper's Fig 8 metric).
-pub fn time_to_error(krate: &Krate, fname: &str, cfg: &VcConfig) -> (Status, Duration) {
-    let t0 = Instant::now();
-    let r = verify_function(krate, fname, cfg);
-    (r.status, t0.elapsed())
-}
