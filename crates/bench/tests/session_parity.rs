@@ -6,13 +6,19 @@
 //! fresh solver per function, at 0, 1 and 8 threads, and that a warm-cache
 //! run answers every function from the cache without opening a session.
 //! The `#[epr_mode]` models are held to the same contract: each module's
-//! flag picks its own solver mode, in sessions as in fresh solvers.
+//! flag picks its own solver mode, in sessions as in fresh solvers. After an
+//! edit, a run through a warm cache equals a fresh run: one body edit
+//! misses for the edited function alone, an edit to a spec function or
+//! datatype in a module the function does not import still reaches its
+//! key (the encoder resolves both krate-wide), and (in the `#[ignore]`d
+//! soak) random spec-body, ensures, datatype and axiom edits never replay
+//! a stale verdict.
 
 use veris_bench::baseline::BASELINE_RLIMIT;
 use veris_bench::casestudy;
-use veris_vc::{verify_function, verify_krate, FnReport, KrateReport, Style, VcConfig};
-use veris_vir::expr::{int, var, ExprExt};
-use veris_vir::module::{Function, Mode, Module};
+use veris_vc::{verify_function, verify_krate, FnReport, KrateReport, Status, Style, VcConfig};
+use veris_vir::expr::{call, int, ite, tru, var, ExprExt};
+use veris_vir::module::{DatatypeDef, FnBody, Function, Mode, Module};
 use veris_vir::stmt::Stmt;
 use veris_vir::ty::Ty;
 use veris_vir::Krate;
@@ -255,4 +261,356 @@ fn mixed_krate_gives_each_module_its_own_mode() {
     assert_eq!(again.sessions.cache_misses, 1, "the flipped module misses");
     assert!(!again.functions[1].cache_hit);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `krate` with one `assert(true)` labelled `label` inserted before the
+/// first statement of `fname`; `None` when `fname` has no statement body.
+fn with_edit(krate: &Krate, fname: &str, label: &str) -> Option<Krate> {
+    let mut k = krate.clone();
+    let f = k
+        .modules
+        .iter_mut()
+        .flat_map(|m| m.functions.iter_mut())
+        .find(|f| f.name == fname)?;
+    let FnBody::Stmts(body) = &mut f.body else {
+        return None;
+    };
+    body.insert(0, Stmt::assert_labeled(tru(), label));
+    Some(k)
+}
+
+/// Verify `krate` through the cache at `dir` and with no cache, and
+/// require every report of the cached run to equal the fresh one.
+fn assert_cached_equals_fresh(
+    system: &str,
+    krate: &Krate,
+    dir: &std::path::Path,
+    what: &str,
+) -> (KrateReport, KrateReport) {
+    let cached = verify_krate(krate, &cfg().with_cache_dir(dir), 1);
+    let fresh = verify_krate(krate, &cfg(), 1);
+    assert_eq!(
+        cached.functions.len(),
+        fresh.functions.len(),
+        "{system}: report length ({what})"
+    );
+    for (c, f) in cached.functions.iter().zip(&fresh.functions) {
+        assert_deterministic_eq(system, f, c, what);
+    }
+    (cached, fresh)
+}
+
+/// The IDE save loop: one labelled `assert(true)` in one body misses the
+/// warm cache for that function alone, and every report equals a fresh
+/// run. Editing diagdemo's `demo_pass` moves the failing `demo_fail` down
+/// one line, so its replayed counterexample must carry the new locations.
+#[test]
+fn one_body_edit_misses_one_function() {
+    for system in systems() {
+        let krate = casestudy::krate(system).expect("known system");
+        let dir = cache_dir(&format!("edit-{system}"));
+        let cold = verify_krate(&krate, &cfg().with_cache_dir(&dir), 1);
+        for rep in &cold.functions {
+            let label = format!("parity-edit-{}", rep.name);
+            let Some(edited) = with_edit(&krate, &rep.name, &label) else {
+                continue;
+            };
+            let what = format!("edit of {}", rep.name);
+            let (warm, _) = assert_cached_equals_fresh(system, &edited, &dir, &what);
+            assert_eq!(warm.sessions.cache_misses, 1, "{system}: {what}");
+            let missed: Vec<&str> = warm
+                .functions
+                .iter()
+                .filter(|f| !f.cache_hit)
+                .map(|f| f.name.as_str())
+                .collect();
+            assert_eq!(missed, [rep.name.as_str()], "{system}: {what}");
+            if rep.name == "demo_pass" {
+                // `demo_fail` sits below the edit: it hits, and its
+                // replayed counterexample moves down with it.
+                let demo_fail = |r: &KrateReport| -> FnReport {
+                    let f = r.functions.iter().find(|f| f.name == "demo_fail");
+                    f.expect("demo_fail reported").clone()
+                };
+                let locs = |f: &FnReport| -> Vec<Option<String>> {
+                    let d = f.diagnostics.iter().filter(|d| d.code == "counterexample");
+                    d.flat_map(|d| d.items.iter().map(|i| i.loc.clone()))
+                        .collect()
+                };
+                let (before, after) = (demo_fail(&cold), demo_fail(&warm));
+                assert!(after.cache_hit, "demo_fail replays from the cache");
+                assert!(
+                    locs(&before).iter().any(Option::is_some),
+                    "located bindings"
+                );
+                assert_ne!(locs(&before), locs(&after), "the edit moves demo_fail down");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Verify `before` into a fresh cache and `after` through it: the cached
+/// run must equal a fresh one. Returns the fresh report of `after`.
+fn edit_after_warm_cache(name: &str, before: &Krate, after: &Krate) -> KrateReport {
+    let dir = cache_dir(name);
+    let cold = verify_krate(before, &cfg().with_cache_dir(&dir), 1);
+    assert!(cold.all_verified(), "{name}: {:?}", cold.failures());
+    let (_, fresh) = assert_cached_equals_fresh(name, after, &dir, "after the edit");
+    let _ = std::fs::remove_dir_all(&dir);
+    fresh
+}
+
+/// `spec fn lim(x: int) -> int { x + delta }` in module `specs`.
+fn specs_module(delta: i128) -> Module {
+    let x = var("x", Ty::Int);
+    Module::new("specs").func(
+        Function::new("lim", Mode::Spec)
+            .param("x", Ty::Int)
+            .returns("r", Ty::Int)
+            .spec_body(x.add(int(delta))),
+    )
+}
+
+/// `proof fn p(x: int) ensures lim(x) > x {}` in module `user`, which does
+/// not import `specs`: the encoder resolves `lim` krate-wide regardless.
+fn user_module() -> Module {
+    let x = var("x", Ty::Int);
+    Module::new("user").func(
+        Function::new("p", Mode::Proof)
+            .param("x", Ty::Int)
+            .ensures(call("lim", vec![x.clone()], Ty::Int).gt(x))
+            .stmts(vec![]),
+    )
+}
+
+#[test]
+fn spec_body_edit_in_non_imported_module_is_not_stale() {
+    let before = Krate::new().module(specs_module(1)).module(user_module());
+    let after = Krate::new().module(specs_module(-1)).module(user_module());
+    let fresh = edit_after_warm_cache("stale-spec-body", &before, &after);
+    assert!(
+        matches!(&fresh.functions[0].status, Status::Failed(m) if m.contains("counterexample")),
+        "the edit must break `p`: {:?}",
+        fresh.functions[0].status
+    );
+}
+
+/// `enum Color { Red, Green }` in module `types`, plus `Blue` when `blue`.
+fn types_module(blue: bool) -> Module {
+    let mut variants = vec![("Red", vec![]), ("Green", vec![])];
+    if blue {
+        variants.push(("Blue", vec![]));
+    }
+    Module::new("types").datatype(DatatypeDef::enumeration("Color", variants))
+}
+
+/// `proof fn two_colors(c: Color) ensures c is Red || c is Green {}` in a
+/// module that does not import `types`.
+fn painter_module() -> Module {
+    let c = var("c", Ty::datatype("Color"));
+    Module::new("painter").func(
+        Function::new("two_colors", Mode::Proof)
+            .param("c", Ty::datatype("Color"))
+            .ensures(
+                c.is_variant("Color", "Red")
+                    .or(c.is_variant("Color", "Green")),
+            )
+            .stmts(vec![]),
+    )
+}
+
+#[test]
+fn datatype_edit_in_non_imported_module_is_not_stale() {
+    let before = Krate::new()
+        .module(types_module(false))
+        .module(painter_module());
+    let after = Krate::new()
+        .module(types_module(true))
+        .module(painter_module());
+    let fresh = edit_after_warm_cache("stale-datatype", &before, &after);
+    assert!(
+        !fresh.functions[0].status.is_verified(),
+        "a third variant must break `two_colors`"
+    );
+}
+
+/// Module `facts`: `spec fn k() -> int;` with the axiom `k() > lo`, and a
+/// module importing it with `proof fn k_positive() ensures k() > 0 {}`.
+fn axiom_krate(lo: i128) -> Krate {
+    let k = call("k", vec![], Ty::Int);
+    let facts = Module::new("facts")
+        .func(Function::new("k", Mode::Spec).returns("r", Ty::Int))
+        .axiom(k.gt(int(lo)));
+    let client = Module::new("client").import("facts").func(
+        Function::new("k_positive", Mode::Proof)
+            .ensures(k.gt(int(0)))
+            .stmts(vec![]),
+    );
+    Krate::new().module(facts).module(client)
+}
+
+#[test]
+fn visible_axiom_edit_is_not_stale() {
+    let fresh = edit_after_warm_cache("stale-axiom", &axiom_krate(0), &axiom_krate(-1));
+    assert!(
+        !fresh.functions[0].status.is_verified(),
+        "a weaker axiom must break `k_positive`"
+    );
+}
+
+/// A seeded xorshift64 generator: the soak needs no crate for randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// Apply one random edit that changes what other functions' queries read:
+/// a spec function body, an `ensures` clause, a datatype (one more
+/// variant) or an axiom. Returns a description, or `None` when the krate
+/// offers nothing of the drawn kind.
+fn mutate(k: &mut Krate, rng: &mut Rng) -> Option<String> {
+    let fns: Vec<(usize, usize)> = k
+        .modules
+        .iter()
+        .enumerate()
+        .flat_map(|(mi, m)| (0..m.functions.len()).map(move |fi| (mi, fi)))
+        .collect();
+    match rng.below(4) {
+        0 => {
+            let spec: Vec<_> = fns
+                .iter()
+                .filter(|&&(m, f)| matches!(k.modules[m].functions[f].body, FnBody::SpecExpr(_)))
+                .collect();
+            let &&(m, f) = spec.get(rng.below(spec.len().max(1)))?;
+            let func = &mut k.modules[m].functions[f];
+            let FnBody::SpecExpr(body) = &func.body else {
+                unreachable!("filtered to spec bodies")
+            };
+            let ty = body.ty();
+            let new = if ty == Ty::Bool {
+                body.not()
+            } else if ty.is_integral() {
+                body.add(int(1))
+            } else {
+                ite(tru(), body.clone(), body.clone())
+            };
+            func.body = FnBody::SpecExpr(new);
+            Some(format!("spec body of {}", func.name))
+        }
+        1 => {
+            let with: Vec<_> = fns
+                .iter()
+                .filter(|&&(m, f)| !k.modules[m].functions[f].ensures.is_empty())
+                .collect();
+            let &&(m, f) = with.get(rng.below(with.len().max(1)))?;
+            let func = &mut k.modules[m].functions[f];
+            let i = rng.below(func.ensures.len());
+            func.ensures[i] = tru();
+            Some(format!("ensures#{i} of {}", func.name))
+        }
+        2 => {
+            let dts: Vec<(usize, usize)> = k
+                .modules
+                .iter()
+                .enumerate()
+                .flat_map(|(mi, m)| (0..m.datatypes.len()).map(move |di| (mi, di)))
+                .collect();
+            let &(m, d) = dts.get(rng.below(dts.len().max(1)))?;
+            let dt = &mut k.modules[m].datatypes[d];
+            let v = format!("Soak{}", dt.variants.len());
+            dt.variants.push((v, vec![]));
+            Some(format!("datatype {}", dt.name))
+        }
+        _ => {
+            let axs: Vec<(usize, usize)> = k
+                .modules
+                .iter()
+                .enumerate()
+                .flat_map(|(mi, m)| (0..m.axioms.len()).map(move |ai| (mi, ai)))
+                .collect();
+            let &(m, a) = axs.get(rng.below(axs.len().max(1)))?;
+            k.modules[m].axioms[a] = tru();
+            Some(format!("axiom#{a} of {}", k.modules[m].name))
+        }
+    }
+}
+
+/// `krate` with every spec function and datatype moved into one trailing
+/// module that no module imports. The encoder resolves both by name across
+/// the krate, so their edits must still reach every key that reads them.
+fn hoist_definitions(krate: &Krate) -> Krate {
+    let mut k = krate.clone();
+    let mut defs = Module::new("soak_definitions");
+    for m in &mut k.modules {
+        let (spec, rest): (Vec<Function>, Vec<Function>) = std::mem::take(&mut m.functions)
+            .into_iter()
+            .partition(|f| f.mode == Mode::Spec);
+        m.functions = rest;
+        defs.functions.extend(spec);
+        defs.datatypes.append(&mut m.datatypes);
+    }
+    k.modules.push(defs);
+    k
+}
+
+/// Cache soundness soak: random spec-body, ensures, datatype and axiom
+/// edits across the corpus, in its own layout and with its definitions
+/// hoisted into a module nobody imports. Each edit is verified through a
+/// cache warmed on the unedited system and compared with a fresh run. Run
+/// in release:
+/// `cargo test --release -p veris-bench --test session_parity -- --ignored`.
+#[test]
+#[ignore = "soak: run in release"]
+fn cache_soundness_soak() {
+    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+    let mut verdicts_moved = 0;
+    let mut edits = 0;
+    for system in systems() {
+        let original = casestudy::krate(system).expect("known system");
+        for (layout, krate) in [
+            ("own", original.clone()),
+            ("hoisted", hoist_definitions(&original)),
+        ] {
+            let dir = cache_dir(&format!("soak-{system}-{layout}"));
+            let cold = verify_krate(&krate, &cfg().with_cache_dir(&dir), 1);
+            for round in 0..40 {
+                let mut k = krate.clone();
+                let mut applied = Vec::new();
+                for _ in 0..1 + rng.below(3) {
+                    applied.extend(mutate(&mut k, &mut rng));
+                }
+                if applied.is_empty() {
+                    continue;
+                }
+                edits += applied.len();
+                let what = format!("{layout} layout, round {round}: {}", applied.join(", "));
+                let (_, fresh) = assert_cached_equals_fresh(system, &k, &dir, &what);
+                if fresh
+                    .functions
+                    .iter()
+                    .zip(&cold.functions)
+                    .any(|(a, b)| a.status != b.status)
+                {
+                    verdicts_moved += 1;
+                }
+            }
+            // The unedited system still replays from its own entries.
+            let what = format!("{layout} layout, unedited");
+            let (warm, _) = assert_cached_equals_fresh(system, &krate, &dir, &what);
+            assert_eq!(warm.sessions.cache_misses, 0, "{system}: {what}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    eprintln!("soak: {edits} edits, {verdicts_moved} rounds moved a verdict");
+    assert!(
+        verdicts_moved > 0,
+        "the soak's edits must move some verdict"
+    );
 }

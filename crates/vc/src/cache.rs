@@ -1,15 +1,17 @@
 //! Content-addressed VC result cache.
 //!
-//! A verification verdict is a pure function of the query the solver saw:
-//! the pruned visible context, the WP-computed goal and hypotheses, the
-//! encoding style, and the resource budget. This module fingerprints that
-//! input with a canonical structural hash and persists the full
+//! A verification verdict is a pure function of what the query reads: the
+//! configuration, the visible modules' axioms and solver mode, the spec
+//! functions and datatypes the encoder resolves across the whole krate,
+//! and the function's own WP output (goal, hypotheses — callee contracts
+//! included — markers, side obligations). This module fingerprints exactly
+//! that input with a canonical structural hash and persists the full
 //! deterministic part of the [`FnReport`] (status, meter counters, unsat
 //! core and other diagnostics, quantifier profile) under
 //! `.veris-cache/<fingerprint>`. A re-run over unchanged source answers
-//! from the cache without constructing a solver at all; any change to the
-//! function, its visible modules, or the configuration changes the
-//! fingerprint and misses.
+//! from the cache without constructing a solver at all. Exec and proof
+//! bodies of *other* functions are not part of the key (verification is
+//! modular), so an edit inside one body misses for that function alone.
 //!
 //! Storage is a line-oriented escaped-text format (the workspace has no
 //! JSON parser, and the entries are ours on both ends). Writes go through
@@ -19,7 +21,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use veris_obs::{DiagItem, Diagnostic, MeterSnapshot, PhaseTimes, QuantProfile, Severity};
-use veris_vir::module::{Krate, Module};
+use veris_vir::module::{Krate, Mode, Module};
 
 use crate::verify::{FnReport, Status, VcConfig};
 use crate::wp::WpResult;
@@ -43,7 +45,11 @@ use crate::wp::WpResult;
 /// v7: one e-matching kernel (no `batch=` component), no `theory_reuse` field.
 /// v8: the watermark e-matching cache is gone, and with it the meter line's
 /// `ematch_skipped` field.
-pub const CACHE_SCHEMA_VERSION: u32 = 8;
+/// v9: the key covers what the query reads — a per-module-group context
+/// part (config, visible modules' names, flags, imports and axioms, every
+/// spec function and datatype of the krate) plus the function's name, lint
+/// component and WP output — instead of every visible module in full.
+pub const CACHE_SCHEMA_VERSION: u32 = 9;
 
 // ----------------------------------------------------------------------
 // Fingerprinting
@@ -59,50 +65,83 @@ fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
     h
 }
 
-/// Canonical structural fingerprint of one function's verification input.
-///
-/// Covers, in order: the cache schema version; every solver-relevant knob
-/// of the configuration; the full content of each visible module (module
-/// axioms, datatypes, and function bodies all feed the encoded context,
-/// and its `epr_mode` flag picks the solver mode — `Debug` on VIR is
-/// structural and deterministic); the function's lint
-/// component ([`veris_lint::cache_component`] — findings and `allow`
-/// suppressions, so flipping either invalidates the entry); and the WP
-/// output for the function (goal, hypotheses, invariant markers, side
-/// obligations, assignment events). Two 64-bit FNV-1a passes with
-/// different bases give a 128-bit name — collisions would need ~2^64
-/// distinct queries.
-pub fn fingerprint(
-    visible: &[&Module],
-    fname: &str,
-    wp: &WpResult,
-    cfg: &VcConfig,
-    lint: &str,
-) -> String {
-    let mut s = String::new();
-    s.push_str(&format!(
-        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={};mqr={:?};maxgen={:?};provers={};",
-        cfg.style,
-        cfg.rlimit,
-        cfg.max_quant_rounds,
-        cfg.smt_max_generation,
-        cfg.provers.is_some(),
-    ));
-    for m in visible {
-        s.push_str(&format!("module {}\n{:?}\n", m.name, m));
-    }
-    s.push_str(&format!("fn {fname}\n"));
-    s.push_str(lint);
-    s.push_str(&format!(
-        "hyps={:?}\ngoal={:?}\nmarkers={:?}\nsides={:?}\nassigns={:?}\n",
-        wp.hypotheses, wp.goal, wp.inv_markers, wp.side_obligations, wp.assigns
-    ));
+/// 128-bit name of a canonical string: two 64-bit FNV-1a passes with
+/// different bases — collisions would need ~2^64 distinct queries.
+fn hash128(s: &str) -> String {
     let b = s.as_bytes();
     format!(
         "{:016x}{:016x}",
         fnv1a(b, 0xcbf2_9ce4_8422_2325),
         fnv1a(b, 0x6c62_272e_07bb_0142)
     )
+}
+
+/// The part of the key shared by every function of `module`, computed once
+/// per module group.
+///
+/// Covers, in order: the cache schema version; every solver-relevant knob
+/// of the configuration; the module's name and `epr_mode` flag (which
+/// picks the solver mode); for each visible module its name (axiom labels
+/// carry it), `epr_mode` flag, imports and axioms; and, across the whole
+/// krate, the full definition of every spec function and every datatype,
+/// because the encoder and the custom provers resolve those by name
+/// krate-wide whatever the imports say. Every other function
+/// contributes only its signature (a call resolves to the first function
+/// of its name, whatever its mode). Exec and proof bodies and the contracts
+/// of non-spec functions are left out: a callee's contract reaches a
+/// query only through the caller's WP output, which [`fingerprint`] hashes.
+/// `Debug` on VIR is structural and deterministic.
+pub fn context_key(krate: &Krate, module: &Module, cfg: &VcConfig) -> String {
+    let mut s = format!(
+        "schema={CACHE_SCHEMA_VERSION};style={:?};rlimit={};mqr={:?};maxgen={:?};provers={};\n\
+         module {} epr={}\n",
+        cfg.style,
+        cfg.rlimit,
+        cfg.max_quant_rounds,
+        cfg.smt_max_generation,
+        cfg.provers.is_some(),
+        module.name,
+        module.epr_mode,
+    );
+    for m in visible_modules(krate, module, cfg) {
+        s.push_str(&format!(
+            "visible {} epr={} imports={:?}\naxioms={:?}\n",
+            m.name, m.epr_mode, m.imports, m.axioms
+        ));
+    }
+    for m in &krate.modules {
+        for d in &m.datatypes {
+            s.push_str(&format!("{d:?}\n"));
+        }
+        for f in &m.functions {
+            if f.mode == Mode::Spec {
+                s.push_str(&format!("{f:?}\n"));
+            } else {
+                s.push_str(&format!(
+                    "fn {} {:?} {:?} {:?}\n",
+                    f.name, f.mode, f.params, f.ret
+                ));
+            }
+        }
+    }
+    hash128(&s)
+}
+
+/// Canonical structural fingerprint of one function's verification input:
+/// its group's [`context_key`], the function's name, its lint component
+/// ([`veris_lint::cache_component`] — findings and `allow` suppressions,
+/// so flipping either invalidates the entry), and the WP output for the
+/// function (goal, hypotheses, invariant markers, side obligations,
+/// assignment events).
+///
+/// The virtual source lines of counterexample bindings are not covered:
+/// they move when a statement is inserted above the function, so a cache
+/// hit re-derives them from the current krate instead.
+pub fn fingerprint(context: &str, fname: &str, wp: &WpResult, lint: &str) -> String {
+    hash128(&format!(
+        "context={context}\nfn {fname}\n{lint}hyps={:?}\ngoal={:?}\nmarkers={:?}\nsides={:?}\nassigns={:?}\n",
+        wp.hypotheses, wp.goal, wp.inv_markers, wp.side_obligations, wp.assigns
+    ))
 }
 
 // ----------------------------------------------------------------------
@@ -362,9 +401,11 @@ pub fn stats(dir: &Path) -> (usize, u64) {
     (entries, bytes)
 }
 
-/// The visible-module set for `module` under `cfg.style` — the same set
-/// the verifier encodes, so the fingerprint covers exactly the context
-/// the solver sees.
+/// The visible-module set for `module` under `cfg.style`: the modules whose
+/// axioms the verifier encodes into the shared context (Verus prunes to
+/// the module and its imports; the baselines see every module). Spec
+/// functions and datatypes are resolved krate-wide regardless, which is
+/// why [`context_key`] covers them for the whole krate.
 pub fn visible_modules<'k>(krate: &'k Krate, module: &Module, cfg: &VcConfig) -> Vec<&'k Module> {
     if cfg.style.prunes_context() {
         krate
@@ -380,6 +421,219 @@ pub fn visible_modules<'k>(krate: &'k Krate, module: &Module, cfg: &VcConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+    use veris_lint::LintReport;
+    use veris_obs::ResourceMeter;
+    use veris_vir::expr::{call, int, var, ExprExt};
+    use veris_vir::module::{DatatypeDef, FnBody, Function};
+    use veris_vir::stmt::Stmt;
+    use veris_vir::ty::Ty;
+
+    use crate::style::Style;
+    use crate::verify::{ProverOutcome, ProverRegistry};
+    use crate::wp::{vc_for_function, SideObligation};
+
+    /// Module `lib`: `spec fn sp(x) = x + 1`, `enum D { A, B }`, and the
+    /// exec callee `g(x) requires x > 0 ensures r > x`. Module `far` (not
+    /// imported): `spec fn far_spec(x) = x * 2`. Module `m` imports `lib`,
+    /// assumes `sp(0) == 1`, and holds `f` (calls `g`), the exec `h` and
+    /// the proof fn `pp`.
+    fn base() -> Krate {
+        let x = var("x", Ty::Int);
+        let r = var("r", Ty::Int);
+        let lib = Module::new("lib")
+            .func(
+                Function::new("sp", Mode::Spec)
+                    .param("x", Ty::Int)
+                    .returns("r", Ty::Int)
+                    .spec_body(x.add(int(1))),
+            )
+            .datatype(DatatypeDef::enumeration(
+                "D",
+                vec![("A", vec![]), ("B", vec![])],
+            ))
+            .func(
+                Function::new("g", Mode::Exec)
+                    .param("x", Ty::Int)
+                    .returns("r", Ty::Int)
+                    .requires(x.gt(int(0)))
+                    .ensures(r.gt(x.clone()))
+                    .stmts(vec![Stmt::ret(x.add(int(1)))]),
+            );
+        let far = Module::new("far").func(
+            Function::new("far_spec", Mode::Spec)
+                .param("x", Ty::Int)
+                .returns("r", Ty::Int)
+                .spec_body(x.mul(int(2))),
+        );
+        let f = Function::new("f", Mode::Exec)
+            .param("x", Ty::Int)
+            .returns("r", Ty::Int)
+            .requires(x.gt(int(0)))
+            .ensures(r.gt(int(0)))
+            .stmts(vec![
+                Stmt::Call {
+                    func: "g".into(),
+                    args: vec![x.clone()],
+                    dest: Some(("y".into(), Ty::Int)),
+                },
+                Stmt::ret(var("y", Ty::Int)),
+            ]);
+        let h = Function::new("h", Mode::Exec)
+            .param("x", Ty::Int)
+            .stmts(vec![Stmt::assert(x.eq_e(x.clone()))]);
+        let pp = Function::new("pp", Mode::Proof)
+            .param("x", Ty::Int)
+            .stmts(vec![Stmt::assert(x.le(x.clone()))]);
+        let m = Module::new("m")
+            .import("lib")
+            .axiom(call("sp", vec![int(0)], Ty::Int).eq_e(int(1)))
+            .func(f)
+            .func(h)
+            .func(pp);
+        Krate::new().module(lib).module(far).module(m)
+    }
+
+    fn key_with(k: &Krate, cfg: &VcConfig, lint: &LintReport) -> String {
+        let (m, f) = k.find_function("f").expect("f");
+        let wp = vc_for_function(k, f);
+        let lint_key = veris_lint::cache_component(lint, f);
+        fingerprint(&context_key(k, m, cfg), "f", &wp, &lint_key)
+    }
+
+    /// The cache key of `f` under the default configuration.
+    fn key(k: &Krate) -> String {
+        key_with(k, &VcConfig::default(), &veris_lint::lint_krate(k))
+    }
+
+    fn func_mut<'k>(k: &'k mut Krate, name: &str) -> &'k mut Function {
+        k.modules
+            .iter_mut()
+            .flat_map(|m| m.functions.iter_mut())
+            .find(|f| f.name == name)
+            .expect("function exists")
+    }
+
+    fn module_mut<'k>(k: &'k mut Krate, name: &str) -> &'k mut Module {
+        k.modules
+            .iter_mut()
+            .find(|m| m.name == name)
+            .expect("module exists")
+    }
+
+    fn push_stmt(k: &mut Krate, name: &str) {
+        let FnBody::Stmts(body) = &mut func_mut(k, name).body else {
+            panic!("{name} has no statement body");
+        };
+        body.insert(0, Stmt::assert(veris_vir::expr::tru()));
+    }
+
+    #[test]
+    fn other_exec_and_proof_bodies_keep_the_key() {
+        let before = key(&base());
+        for name in ["h", "pp", "g"] {
+            let mut k = base();
+            push_stmt(&mut k, name);
+            assert_eq!(key(&k), before, "editing the body of `{name}`");
+        }
+        // The function's own body is in the key, through its WP output.
+        let mut k = base();
+        push_stmt(&mut k, "f");
+        assert_ne!(key(&k), before, "editing the body of `f`");
+    }
+
+    #[test]
+    fn key_changes_with_what_the_query_reads() {
+        let before = key(&base());
+        type Edit = fn(&mut Krate);
+        let edits: [(&str, Edit); 8] = [
+            ("spec body in a non-imported module", |k| {
+                func_mut(k, "far_spec").body = FnBody::SpecExpr(int(0))
+            }),
+            ("spec body in an imported module", |k| {
+                func_mut(k, "sp").body = FnBody::SpecExpr(int(2))
+            }),
+            ("callee requires", |k| {
+                func_mut(k, "g").requires = vec![var("x", Ty::Int).ge(int(0))]
+            }),
+            ("callee ensures", |k| {
+                func_mut(k, "g").ensures = vec![var("x", Ty::Int).ge(int(0))]
+            }),
+            ("datatype", |k| {
+                module_mut(k, "lib").datatypes[0]
+                    .variants
+                    .push(("C".into(), vec![]))
+            }),
+            ("axiom", |k| {
+                module_mut(k, "m").axioms[0] = int(1).eq_e(int(1))
+            }),
+            ("epr_mode", |k| module_mut(k, "m").epr_mode = true),
+            ("own allows", |k| {
+                func_mut(k, "f").allows.push("trivial-ensures".into())
+            }),
+        ];
+        for (what, edit) in edits {
+            let mut k = base();
+            edit(&mut k);
+            assert_ne!(key(&k), before, "{what}");
+        }
+
+        // A lint finding on `f` itself.
+        let k = base();
+        let mut lint = veris_lint::lint_krate(&k);
+        lint.diagnostics.push(Diagnostic::new(
+            Severity::Warning,
+            "trivial-ensures",
+            "f",
+            "a finding on f",
+        ));
+        assert_ne!(key_with(&k, &VcConfig::default(), &lint), before, "lint");
+    }
+
+    struct NoProver;
+    impl ProverRegistry for NoProver {
+        fn prove(&self, _: &Krate, _: &SideObligation, _: &Arc<ResourceMeter>) -> ProverOutcome {
+            ProverOutcome::Unknown("none".into())
+        }
+    }
+
+    #[test]
+    fn key_changes_with_each_config_component() {
+        let k = base();
+        let lint = veris_lint::lint_krate(&k);
+        let before = key_with(&k, &VcConfig::default(), &lint);
+        let configs: Vec<(&str, VcConfig)> = vec![
+            ("style", VcConfig::with_style(Style::DafnyLike)),
+            (
+                "rlimit",
+                VcConfig::default().with_rlimit(crate::verify::DEFAULT_RLIMIT + 1),
+            ),
+            (
+                "max_quant_rounds",
+                VcConfig {
+                    max_quant_rounds: Some(3),
+                    ..VcConfig::default()
+                },
+            ),
+            (
+                "smt_max_generation",
+                VcConfig {
+                    smt_max_generation: Some(3),
+                    ..VcConfig::default()
+                },
+            ),
+            (
+                "provers",
+                VcConfig {
+                    provers: Some(Arc::new(NoProver)),
+                    ..VcConfig::default()
+                },
+            ),
+        ];
+        for (what, cfg) in configs {
+            assert_ne!(key_with(&k, &cfg, &lint), before, "{what}");
+        }
+    }
 
     fn sample_report() -> FnReport {
         let mut profile = QuantProfile::new();

@@ -405,8 +405,9 @@ fn check_function(
             Status::Verified
         }
         SmtResult::Sat(model) => {
-            let srcmap = SourceMap::for_krate(krate);
-            diagnostics.push(counterexample_diag(fname, ctx, solver, &model, &srcmap));
+            let mut diag = counterexample_diag(fname, ctx, solver, &model);
+            locate_bindings(&mut diag, &SourceMap::for_krate(krate));
+            diagnostics.push(diag);
             Status::Failed(render_counterexample(solver, &model))
         }
         SmtResult::Unknown(r) => Status::Unknown(r),
@@ -606,14 +607,8 @@ fn core_diagnostics(
 }
 
 /// Build the counterexample diagnostic: model values joined back through
-/// the VC symbol table to VIR-level names, with virtual source locations.
-fn counterexample_diag(
-    fname: &str,
-    ctx: &EncCtx,
-    solver: &Solver,
-    model: &Model,
-    srcmap: &SourceMap,
-) -> Diagnostic {
+/// the VC symbol table to VIR-level names (located by [`locate_bindings`]).
+fn counterexample_diag(fname: &str, ctx: &EncCtx, solver: &Solver, model: &Model) -> Diagnostic {
     let mut items = Vec::new();
     for (name, t) in ctx.symbol_table() {
         // wp-internal fresh variables (`x!3`) and invariant markers
@@ -626,11 +621,7 @@ fn counterexample_diag(
             _ => model.ints.get(&t).map(|v| v.to_string()),
         };
         if let Some(v) = value {
-            let mut item = DiagItem::new(name.clone(), v);
-            if let Some(loc) = srcmap.param_loc(fname, &name) {
-                item = item.with_loc(loc.to_string());
-            }
-            items.push(item);
+            items.push(DiagItem::new(name, v));
         }
     }
     let headline = if model.validated {
@@ -646,6 +637,19 @@ fn counterexample_diag(
         Severity::Warning
     };
     Diagnostic::new(severity, "counterexample", fname, headline).with_items(items)
+}
+
+/// Give each binding of a counterexample diagnostic the virtual source
+/// location of the parameter of that name, if any. The lines follow the
+/// layout of everything above the function in its module, which the cache
+/// key leaves out, so fresh solves and cache hits both take them from the
+/// current krate here.
+fn locate_bindings(diag: &mut Diagnostic, srcmap: &SourceMap) {
+    for item in &mut diag.items {
+        item.loc = srcmap
+            .param_loc(&diag.function, &item.label)
+            .map(|l| l.to_string());
+    }
 }
 
 /// One module's reusable solver session.
@@ -755,20 +759,30 @@ fn run_module_group(
 ) -> (Vec<(usize, FnReport)>, SessionStats, HashSet<String>) {
     let mut stats = SessionStats::new();
     let mut sess: Option<ModuleSession> = None;
+    let mut srcmap: Option<SourceMap> = None;
     let mut out = Vec::new();
+    let context = cfg
+        .cache_dir
+        .as_ref()
+        .map(|_| cache::context_key(krate, group.module, cfg));
     for (slot, fname) in &group.fns {
         let t0 = Instant::now();
         let (_, f) = krate.find_function(fname).expect("group function exists");
         let mut phases = PhaseTimes::default();
         let wp = time(&mut phases.vir, || vc_for_function(krate, f));
-        let fp = cfg.cache_dir.as_ref().map(|_| {
-            let visible = cache::visible_modules(krate, group.module, cfg);
+        let fp = context.as_ref().map(|context| {
             let lint_key = veris_lint::cache_component(lint, f);
-            cache::fingerprint(&visible, fname, &wp, cfg, &lint_key)
+            cache::fingerprint(context, fname, &wp, &lint_key)
         });
         if let (Some(dir), Some(fp)) = (&cfg.cache_dir, &fp) {
             if let Some(mut rep) = cache::load(dir, fp) {
                 stats.cache_hits += 1;
+                for d in &mut rep.diagnostics {
+                    if d.code == "counterexample" {
+                        let map = srcmap.get_or_insert_with(|| SourceMap::for_krate(krate));
+                        locate_bindings(d, map);
+                    }
+                }
                 rep.time = t0.elapsed();
                 rep.phases = phases;
                 out.push((*slot, rep));
