@@ -6,7 +6,7 @@
 //! to [`crate::sat::SatSolver`]. Division and remainder are encoded
 //! relationally (`a = b*q + r ∧ r < b`) in double width to avoid overflow.
 
-use std::collections::HashMap;
+use crate::fxhash::HashMap;
 use std::sync::Arc;
 
 use veris_obs::{Counter, ResourceMeter};
@@ -51,8 +51,8 @@ impl BvSolver {
         sat.add_clause(vec![lit_true]);
         BvSolver {
             sat,
-            bits: HashMap::new(),
-            bools: HashMap::new(),
+            bits: HashMap::default(),
+            bools: HashMap::default(),
             lit_true,
             vars: Vec::new(),
             meter: None,
@@ -451,7 +451,7 @@ impl BvSolver {
             SatResult::Unsat => BvResult::Unsat,
             SatResult::Unknown => BvResult::Unknown,
             SatResult::Sat => {
-                let mut model = HashMap::new();
+                let mut model = HashMap::default();
                 for &v in &self.vars {
                     let bits = &self.bits[&v];
                     let mut val = 0u64;

@@ -15,7 +15,7 @@
 //! never removed; only merges and disequalities are undone, back to a
 //! [`EufMark`].
 
-use std::collections::HashMap;
+use crate::fxhash::HashMap;
 use std::sync::Arc;
 
 use veris_obs::{Counter, ResourceMeter};
@@ -112,7 +112,7 @@ impl Euf {
             size: Vec::new(),
             pf_parent: Vec::new(),
             use_list: Vec::new(),
-            sig_table: HashMap::new(),
+            sig_table: HashMap::default(),
             sig_log: Vec::new(),
             diseqs: Vec::new(),
             pending: Vec::new(),
@@ -377,7 +377,7 @@ impl Euf {
             // Walk both to the common ancestor in the proof forest.
             let (px, py) = (self.pf_path(x), self.pf_path(y));
             // Find lowest common node.
-            let set: std::collections::HashSet<NodeId> = px.iter().map(|&(n, _)| n).collect();
+            let set: crate::fxhash::HashSet<NodeId> = px.iter().map(|&(n, _)| n).collect();
             let mut common = None;
             for &(n, _) in &py {
                 if set.contains(&n) {

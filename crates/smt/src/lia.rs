@@ -15,7 +15,7 @@
 //! nonbasic variable's value lies within its bounds, and relaxing a bound
 //! keeps it there, so the tableau needs no repair after an undo.
 
-use std::collections::HashMap;
+use crate::fxhash::HashMap;
 use std::sync::Arc;
 
 use veris_obs::{Counter, ResourceMeter};
@@ -147,6 +147,16 @@ impl Rat {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct LVar(pub u32);
 
+/// A linear combination resolved by [`Lia::register`]: the combination is
+/// `gcd * scale * x` for the column `x`, so a bound on it is one bound on
+/// `x` with no lookup or allocation.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Col {
+    var: usize,
+    scale: i128,
+    gcd: i128,
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Bound {
     value: Rat,
@@ -238,7 +248,7 @@ impl Lia {
             rows: Vec::new(),
             row_owner: Vec::new(),
             basic_in: Vec::new(),
-            combos: HashMap::new(),
+            combos: HashMap::default(),
             is_int: Vec::new(),
             bound_log: Vec::new(),
             meter: None,
@@ -291,7 +301,7 @@ impl Lia {
         self.combos.insert(key, s);
         // Row: s = Σ coeff * var. Express RHS over *nonbasic* vars by
         // substituting any basic vars with their rows.
-        let mut row: HashMap<usize, Rat> = HashMap::new();
+        let mut row: HashMap<usize, Rat> = HashMap::default();
         for &(c, v) in combo {
             let c = Rat::int(c);
             let vi = v.0 as usize;
@@ -338,15 +348,13 @@ impl Lia {
         (combo.iter().map(|&(c, v)| (c / g, v)).collect(), g)
     }
 
-    /// Create the column a later bound on `Σ coeff*var` will use (a slack
-    /// row for a combination of two or more terms), so rows can be made
-    /// before any bound is asserted.
-    pub fn register(&mut self, combo: &[(i128, LVar)]) -> Result<(), Overflow> {
-        if !combo.is_empty() {
-            let (combo, _) = Self::gcd_reduce(combo);
-            self.target_var(&combo)?;
-        }
-        Ok(())
+    /// Resolve a nonempty combination to the column its bounds go on,
+    /// creating a slack row for a combination of two or more terms, so rows
+    /// can be made before any bound is asserted.
+    pub fn register(&mut self, combo: &[(i128, LVar)]) -> Result<Col, Overflow> {
+        let (combo, gcd) = Self::gcd_reduce(combo);
+        let (var, scale) = self.target_var(&combo)?;
+        Ok(Col { var, scale, gcd })
     }
 
     /// Assert `Σ coeff*var <= bound` tagged with `lit`.
@@ -356,18 +364,8 @@ impl Lia {
         bound: i128,
         lit: Option<Tag>,
     ) -> Result<Option<Vec<Tag>>, Overflow> {
-        let (combo, g) = Self::gcd_reduce(combo);
-        let bound = bound.div_euclid(g);
-        let combo = &combo[..];
-        let (v, scale) = self.target_var(combo)?;
-        // combo = scale * var(v): bound on v is bound/scale (direction flips
-        // if scale < 0).
-        let b = Rat::new(bound, scale)?;
-        if scale > 0 {
-            self.set_upper(v, b, lit)
-        } else {
-            self.set_lower(v, b, lit)
-        }
+        let col = self.register(combo)?;
+        self.assert_upper_col(col, bound, lit)
     }
 
     /// Assert `Σ coeff*var >= bound` tagged with `lit`.
@@ -377,16 +375,40 @@ impl Lia {
         bound: i128,
         lit: Option<Tag>,
     ) -> Result<Option<Vec<Tag>>, Overflow> {
-        let (combo, g) = Self::gcd_reduce(combo);
-        // ceil division for the lower bound.
-        let bound = -((-bound).div_euclid(g));
-        let combo = &combo[..];
-        let (v, scale) = self.target_var(combo)?;
-        let b = Rat::new(bound, scale)?;
-        if scale > 0 {
-            self.set_lower(v, b, lit)
+        let col = self.register(combo)?;
+        self.assert_lower_col(col, bound, lit)
+    }
+
+    /// Assert `Σ coeff*var <= bound` for the combination `col` resolves.
+    pub fn assert_upper_col(
+        &mut self,
+        col: Col,
+        bound: i128,
+        lit: Option<Tag>,
+    ) -> Result<Option<Vec<Tag>>, Overflow> {
+        // combo = gcd * scale * var: the bound on var is
+        // floor(bound / gcd) / scale, flipping direction if scale < 0.
+        let b = Rat::new(bound.div_euclid(col.gcd), col.scale)?;
+        if col.scale > 0 {
+            self.set_upper(col.var, b, lit)
         } else {
-            self.set_upper(v, b, lit)
+            self.set_lower(col.var, b, lit)
+        }
+    }
+
+    /// Assert `Σ coeff*var >= bound` for the combination `col` resolves.
+    pub fn assert_lower_col(
+        &mut self,
+        col: Col,
+        bound: i128,
+        lit: Option<Tag>,
+    ) -> Result<Option<Vec<Tag>>, Overflow> {
+        // ceil(bound / gcd) for the lower bound.
+        let b = Rat::new(-((-bound).div_euclid(col.gcd)), col.scale)?;
+        if col.scale > 0 {
+            self.set_lower(col.var, b, lit)
+        } else {
+            self.set_upper(col.var, b, lit)
         }
     }
 
@@ -606,7 +628,7 @@ impl Lia {
         // Rewrite the pivot row: xi = ... + aij*xj + ...  =>
         // xj = (xi - Σ_{k≠j} aik*xk) / aij
         let old_row = std::mem::take(&mut self.rows[row_idx]);
-        let mut new_row: HashMap<usize, Rat> = HashMap::new();
+        let mut new_row: HashMap<usize, Rat> = HashMap::default();
         let inv = Rat::ONE.div(&aij)?;
         new_row.insert(xi, inv);
         for (&k, &c) in &old_row {
@@ -916,5 +938,103 @@ mod tests {
             }
             other => panic!("expected unsat, got {other:?}"),
         }
+    }
+
+    /// SplitMix64, so each seed names the same combinations everywhere.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn coin(&mut self) -> bool {
+            self.next().is_multiple_of(2)
+        }
+
+        /// Uniform in `lo..=hi`.
+        fn range(&mut self, lo: i128, hi: i128) -> i128 {
+            lo + (self.next() % (hi - lo + 1) as u64) as i128
+        }
+    }
+
+    /// Oracle for resolved bounds: for random combinations of 1–3 variables
+    /// (common factors, negative leading coefficients, odd and negative
+    /// bounds), a bound asserted through `register` and
+    /// `assert_{upper,lower}_col` admits exactly the integer points in
+    /// [-4, 4]^n at which `Σ c·x ≤ b` (or `≥ b`) evaluates true.
+    #[test]
+    fn resolved_bounds_admit_exactly_the_satisfying_points() {
+        for seed in 0..48u64 {
+            let mut rng = Rng(seed);
+            let mut lia = Lia::new();
+            let vars: Vec<LVar> = (0..3).map(|_| lia.new_var()).collect();
+            for _ in 0..4 {
+                let n = rng.range(1, 3) as usize;
+                let g = rng.range(1, 4);
+                let combo: Vec<(i128, LVar)> = (0..n)
+                    .map(|i| {
+                        let c = rng.range(1, 3) * if rng.coin() { -1 } else { 1 };
+                        (g * c, vars[i])
+                    })
+                    .rev()
+                    .collect();
+                let bound = rng.range(-9, 9);
+                let upper = rng.coin();
+                let col = lia.register(&combo).unwrap();
+                let mark = lia.mark();
+                let points = 9usize.pow(n as u32);
+                for p in 0..points {
+                    let xs: Vec<i128> = (0..n)
+                        .map(|i| (p / 9usize.pow(i as u32) % 9) as i128 - 4)
+                        .collect();
+                    for (i, &x) in xs.iter().enumerate() {
+                        let pin = lia.register(&[(1, vars[i])]).unwrap();
+                        assert!(lia.assert_upper_col(pin, x, None).unwrap().is_none());
+                        assert!(lia.assert_lower_col(pin, x, None).unwrap().is_none());
+                    }
+                    let sum: i128 = combo.iter().map(|&(c, v)| c * xs[v.0 as usize]).sum();
+                    let want = if upper { sum <= bound } else { sum >= bound };
+                    let eager = if upper {
+                        lia.assert_upper_col(col, bound, Some(lit(1)))
+                    } else {
+                        lia.assert_lower_col(col, bound, Some(lit(1)))
+                    };
+                    let admitted = match eager.unwrap() {
+                        Some(_) => false,
+                        None => match lia.check(100) {
+                            LiaOutcome::Sat(_) => true,
+                            LiaOutcome::Unsat(_) => false,
+                            other => panic!("seed {seed}: {other:?}"),
+                        },
+                    };
+                    assert_eq!(
+                        admitted,
+                        want,
+                        "seed {seed}: {combo:?} {} {bound} at {xs:?}",
+                        if upper { "<=" } else { ">=" }
+                    );
+                    lia.undo(mark);
+                }
+            }
+        }
+    }
+
+    /// `x - y` and `y - x` are two columns (the solver resolves each
+    /// ordered pair of shared terms on its own), and resolving a
+    /// combination again finds the same column.
+    #[test]
+    fn reversed_difference_is_another_column() {
+        let mut lia = Lia::new();
+        let (x, y) = (lia.new_var(), lia.new_var());
+        let xy = lia.register(&[(1, x), (-1, y)]).unwrap();
+        let yx = lia.register(&[(-1, x), (1, y)]).unwrap();
+        assert_ne!(xy.var, yx.var);
+        assert_eq!(lia.register(&[(-1, y), (1, x)]).unwrap(), xy);
+        assert_eq!(lia.register(&[(3, y), (-3, x)]).unwrap().var, yx.var);
     }
 }

@@ -16,6 +16,7 @@
 //! - [`solver`] — the DPLL(T) orchestrator with round-based quantifier
 //!   instantiation and an EPR saturation mode;
 //! - [`printer`] — SMT-LIB rendering, used for the query-size metric.
+//! - [`fxhash`] — the deterministic Fx hasher behind the solver's maps.
 //!
 //! ## Quick example
 //!
@@ -38,6 +39,7 @@
 
 pub mod bv;
 pub mod euf;
+pub mod fxhash;
 pub mod lia;
 pub mod printer;
 pub mod quant;

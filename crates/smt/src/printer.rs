@@ -3,7 +3,7 @@
 //! Used for debugging and for the "SMT query size" metric the paper's
 //! Figure 9 reports (`SMT (MB)` — total bytes of solver input).
 
-use std::collections::HashSet;
+use crate::fxhash::HashSet;
 use std::fmt::Write;
 
 use crate::term::{Sort, SortId, TermId, TermKind, TermStore};
@@ -55,7 +55,7 @@ pub fn write_smtlib<W: Write>(
     out: &mut W,
 ) -> std::fmt::Result {
     out.write_str("(set-logic ALL)\n")?;
-    let mut seen_terms = HashSet::new();
+    let mut seen_terms = HashSet::default();
     let mut decl_sorts: Vec<SortId> = Vec::new();
     let mut decl_vars: Vec<TermId> = Vec::new();
     let mut decl_funcs: Vec<crate::term::FuncId> = Vec::new();

@@ -5,7 +5,7 @@
 //! possible, better scaling) and [`TriggerPolicy::Broad`] (Dafny-style —
 //! every candidate subterm, more instantiations, more solver work).
 
-use std::collections::{HashMap, HashSet};
+use crate::fxhash::{HashMap, HashSet};
 
 use crate::term::{Quant, SortId, TermId, TermKind, TermStore};
 
@@ -22,7 +22,7 @@ pub enum TriggerPolicy {
 /// matchable shapes) that mention at least one bound variable and are not
 /// themselves a bare bound variable.
 fn candidates(store: &TermStore, body: TermId, out: &mut Vec<TermId>) {
-    let mut seen: HashSet<TermId> = HashSet::new();
+    let mut seen: HashSet<TermId> = HashSet::default();
     candidates_rec(store, body, out, &mut seen);
 }
 
@@ -585,7 +585,7 @@ mod tests {
         let two = s.mk_int(2);
         let f1 = s.mk_app(f, vec![one]);
         let f2 = s.mk_app(f, vec![two]);
-        let mut index = HashMap::new();
+        let mut index = HashMap::default();
         index.insert(PatternHead::Func(f), vec![f1, f2]);
         let ms = enumerate_matches(&s, &ClassIndex::new(), &q, &index, 100);
         assert_eq!(ms.len(), 2);
@@ -620,7 +620,7 @@ mod tests {
         let d = s.mk_var("d", int);
         let gd = s.mk_app(g, vec![d]);
         let fc = s.mk_app(f, vec![c]);
-        let mut index = HashMap::new();
+        let mut index = HashMap::default();
         index.insert(PatternHead::Func(f), vec![fc]);
         let none = enumerate_matches(&s, &ClassIndex::new(), &q, &index, 100);
         assert!(none.is_empty(), "no match without the class: {none:?}");
@@ -643,7 +643,7 @@ mod tests {
         let a = s.mk_var("a", int);
         let b = s.mk_var("b", int);
         let hab = s.mk_app(h, vec![a, b]);
-        let mut index = HashMap::new();
+        let mut index = HashMap::default();
         index.insert(PatternHead::Func(h), vec![hab]);
         assert!(enumerate_matches(&s, &ClassIndex::new(), &q, &index, 100).is_empty());
         let mut classes = ClassIndex::new();
@@ -680,7 +680,7 @@ mod tests {
                 classes.members_of(c).iter().position(|&m| m == gd),
                 Some(pad + 1)
             );
-            let mut index = HashMap::new();
+            let mut index = HashMap::default();
             index.insert(PatternHead::Func(f), vec![fc]);
             enumerate_matches(&s, &classes, &q, &index, 100).len()
         };
@@ -702,7 +702,7 @@ mod tests {
                 s.mk_app(f, vec![n])
             })
             .collect();
-        let mut index = HashMap::new();
+        let mut index = HashMap::default();
         index.insert(PatternHead::Func(f), grounds.clone());
         for limit in [0, 3, 9] {
             let ms = enumerate_matches(&s, &ClassIndex::new(), &q, &index, limit);

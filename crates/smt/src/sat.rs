@@ -15,7 +15,7 @@
 //! meter's budget trips — checked only at conflicts, so the abort point is
 //! a deterministic function of the input.
 
-use std::collections::HashSet;
+use crate::fxhash::HashSet;
 use std::sync::Arc;
 
 use veris_obs::{Counter, ResourceMeter};

@@ -9,13 +9,13 @@
 //! `maybe_spurious = true`); the verification layer treats them as "not
 //! proved" plus a best-effort counterexample.
 
-use std::collections::{HashMap, HashSet};
+use crate::fxhash::{HashMap, HashSet};
 use std::sync::Arc;
 
 use veris_obs::{Counter, QuantProfile, ResourceMeter};
 
 use crate::euf::{Euf, EufMark, NodeId};
-use crate::lia::{LVar, Lia, LiaLimit, LiaMark, LiaOutcome, Overflow};
+use crate::lia::{Col, LVar, Lia, LiaLimit, LiaMark, LiaOutcome, Overflow};
 use crate::quant::{
     enumerate_matches, infer_triggers, pattern_head, ClassIndex, PatternHead, TriggerPolicy,
 };
@@ -63,8 +63,8 @@ impl Default for Config {
 /// A (possibly partial) first-order model for diagnostics.
 #[derive(Clone, Debug, Default)]
 pub struct Model {
-    pub bools: HashMap<TermId, bool>,
-    pub ints: HashMap<TermId, i128>,
+    pub bools: std::collections::HashMap<TermId, bool>,
+    pub ints: std::collections::HashMap<TermId, i128>,
     /// True when quantifiers were present and not saturated: the model may
     /// not satisfy them.
     pub maybe_spurious: bool,
@@ -206,21 +206,21 @@ impl Solver {
             config,
             sat,
             lit_true,
-            tseitin: HashMap::new(),
-            lit_of_atom: HashMap::new(),
+            tseitin: HashMap::default(),
+            lit_of_atom: HashMap::default(),
             atoms: Vec::new(),
             quants: Vec::new(),
-            quant_set: HashSet::new(),
-            registered: HashSet::new(),
-            ground_index: HashMap::new(),
-            ground_by_sort: HashMap::new(),
-            instances: HashMap::new(),
-            combo_splits: HashSet::new(),
-            term_gen: HashMap::new(),
+            quant_set: HashSet::default(),
+            registered: HashSet::default(),
+            ground_index: HashMap::default(),
+            ground_by_sort: HashMap::default(),
+            instances: HashMap::default(),
+            combo_splits: HashSet::default(),
+            term_gen: HashMap::default(),
             queue: Vec::new(),
-            divmod_done: HashSet::new(),
-            dt_done: HashSet::new(),
-            tricho_done: HashSet::new(),
+            divmod_done: HashSet::default(),
+            dt_done: HashSet::default(),
+            tricho_done: HashSet::default(),
             asserted: Vec::new(),
             has_bv: false,
             has_opaque: false,
@@ -368,7 +368,7 @@ impl Solver {
 
     /// Preprocess (ite-lift + NNF/skolemize) and tseitin-encode a formula.
     fn encode_formula(&mut self, f: TermId, from_axiom: bool) -> Lit {
-        let mut cache = HashMap::new();
+        let mut cache = HashMap::default();
         let f = self.lift_ites(f, from_axiom, &mut cache);
         let f = self.nnf(f, true, &[]);
         self.encode(f, from_axiom)
@@ -683,12 +683,10 @@ impl Solver {
         if let Some(h) = pattern_head(&self.store, t) {
             self.ground_index.entry(h).or_default().push(t);
         }
-        // EPR universe: every ground term by sort.
+        // EPR universe: every ground term by sort (`registered` admits each
+        // term once, and `pop` restores both together).
         let sort = self.store.sort_of(t);
-        let entry = self.ground_by_sort.entry(sort).or_default();
-        if !entry.contains(&t) {
-            entry.push(t);
-        }
+        self.ground_by_sort.entry(sort).or_default().push(t);
         // Datatype structural axioms (skip for axiom-created terms to
         // terminate on recursive datatypes).
         if !from_axiom {
@@ -791,7 +789,7 @@ impl Solver {
                 }
             }
             self.stats.quant_rounds += 1;
-            let mut last_model: Option<HashMap<TermId, i128>> = None;
+            let mut last_model: Option<std::collections::HashMap<TermId, i128>> = None;
             let mut theory_unknown: Option<LiaLimit> = None;
             let outcome = {
                 let store = &self.store;
@@ -1106,8 +1104,8 @@ impl Solver {
     /// caught); genuinely uninterpreted atoms fall back to the model's
     /// boolean assignment, and quantified formulas are indeterminate.
     pub fn validate_model(&self, model: &Model) -> Validation {
-        let mut bcache: HashMap<TermId, Option<bool>> = HashMap::new();
-        let mut icache: HashMap<TermId, Option<i128>> = HashMap::new();
+        let mut bcache: HashMap<TermId, Option<bool>> = HashMap::default();
+        let mut icache: HashMap<TermId, Option<i128>> = HashMap::default();
         let mut indeterminate = false;
         for &t in &self.asserted {
             match self.eval_bool(t, model, &mut bcache, &mut icache) {
@@ -1343,23 +1341,28 @@ fn three_valued_all(it: impl Iterator<Item = Option<bool>>) -> Option<bool> {
 // ----------------------------------------------------------------------
 
 enum TheoryVerdict {
-    Consistent(HashMap<TermId, i128>),
+    Consistent(std::collections::HashMap<TermId, i128>),
     Conflict(Vec<Lit>),
     /// The limit that stopped the check (the meter's included).
     Unknown(LiaLimit),
 }
 
+/// An int term `konst + Σ combo` with its combination resolved to a LIA
+/// column (`None` when the combination is empty).
+type Resolved = (i128, Option<Col>);
+
 /// How one theory atom is asserted; fixed when the atom is registered.
+#[derive(Clone, Copy)]
 enum AtomShape {
     /// Equality: merge or separate the two nodes. An int equality also
     /// bounds `konst + Σ combo` to zero in LIA.
     Eq {
         a: NodeId,
         b: NodeId,
-        lia: Option<(i128, Vec<(i128, LVar)>)>,
+        lia: Option<Resolved>,
     },
     /// `konst + Σ combo <= 0`.
-    Le0(i128, Vec<(i128, LVar)>),
+    Le0(Resolved),
     /// Boolean-sorted application or datatype tester: merge with TRUE or
     /// FALSE.
     Bool(NodeId),
@@ -1397,6 +1400,9 @@ struct Theory {
     term_of: HashMap<NodeId, TermId>,
     lvar_of: HashMap<TermId, LVar>,
     lvars: Vec<(TermId, LVar)>,
+    /// `x - y` of each ordered pair of shared nodes EUF has equated, filled
+    /// on the pair's first equality (when its LIA columns are created).
+    shared_diffs: HashMap<(NodeId, NodeId), Resolved>,
     /// Dense tags for structured EUF signatures.
     lin_sigs: HashMap<(i128, Vec<i128>), u64>,
     dt_tags: HashMap<(u32, u32, u32), u64>,
@@ -1443,14 +1449,15 @@ impl Theory {
         Theory {
             euf,
             lia,
-            node_of: HashMap::new(),
-            term_of: HashMap::new(),
-            lvar_of: HashMap::new(),
+            node_of: HashMap::default(),
+            term_of: HashMap::default(),
+            lvar_of: HashMap::default(),
             lvars: Vec::new(),
-            lin_sigs: HashMap::new(),
-            dt_tags: HashMap::new(),
-            ctors_seen: HashMap::new(),
-            walked: HashSet::new(),
+            shared_diffs: HashMap::default(),
+            lin_sigs: HashMap::default(),
+            dt_tags: HashMap::default(),
+            ctors_seen: HashMap::default(),
+            walked: HashSet::default(),
             true_node,
             false_node,
             axiom_lit,
@@ -1614,6 +1621,14 @@ impl Theory {
         (ka - kb, merge_combo(combo))
     }
 
+    /// Resolve `konst + Σ combo`'s combination to a LIA column.
+    fn resolve(&mut self, (konst, combo): (i128, Vec<(i128, LVar)>)) -> Result<Resolved, Overflow> {
+        if combo.is_empty() {
+            return Ok((konst, None));
+        }
+        Ok((konst, Some(self.lia.register(&combo)?)))
+    }
+
     /// Register one atom at the base state: EUF nodes for every
     /// non-boolean subterm (so congruence sees terms that occur only under
     /// arithmetic atoms), LIA columns and rows, and its shape.
@@ -1624,18 +1639,16 @@ impl Theory {
                 let (a, b) = (*a, *b);
                 let (na, nb) = (self.euf_node(store, a), self.euf_node(store, b));
                 let lia = if store.sort_of(a) == self.int_sort {
-                    let (k, combo) = self.difference(store, a, b);
-                    self.lia.register(&combo)?;
-                    Some((k, combo))
+                    let diff = self.difference(store, a, b);
+                    Some(self.resolve(diff)?)
                 } else {
                     None
                 };
                 AtomShape::Eq { a: na, b: nb, lia }
             }
             TermKind::Le0(lin) => {
-                let (k, combo) = self.decompose(store, *lin);
-                self.lia.register(&combo)?;
-                AtomShape::Le0(k, combo)
+                let lin = self.decompose(store, *lin);
+                AtomShape::Le0(self.resolve(lin)?)
             }
             TermKind::Var(_, s) if *s == self.bool_sort => return Ok(()),
             TermKind::App(..) | TermKind::DtTest(..) => AtomShape::Bool(self.euf_node(store, t)),
@@ -1680,17 +1693,17 @@ impl Theory {
         TheoryVerdict::Conflict(self.clause(lits))
     }
 
-    /// Bound `konst + Σ combo` to zero.
+    /// Bound `konst + Σ combo` to zero, `col` resolving the combination.
     fn assert_zero(
         &mut self,
         konst: i128,
-        combo: &[(i128, LVar)],
+        col: Col,
         reason: TagReason,
     ) -> Result<(), TheoryVerdict> {
         let tag = self.tag(reason);
         match (
-            self.lia.assert_upper(combo, -konst, Some(tag)),
-            self.lia.assert_lower(combo, -konst, Some(tag)),
+            self.lia.assert_upper_col(col, -konst, Some(tag)),
+            self.lia.assert_lower_col(col, -konst, Some(tag)),
         ) {
             (Ok(None), Ok(None)) => Ok(()),
             (Ok(Some(tags)), _) | (_, Ok(Some(tags))) => Err(self.conflict_from_tags(tags)),
@@ -1703,60 +1716,67 @@ impl Theory {
     fn close(&mut self, store: &TermStore) -> Result<(), TheoryVerdict> {
         self.euf.close();
         for (x, y) in self.euf.take_shared_eqs() {
-            let (tx, ty) = (self.term_of[&x], self.term_of[&y]);
-            let (konst, combo) = self.difference(store, tx, ty);
-            if combo.is_empty() {
-                if konst != 0 {
-                    let expl = self.euf.explain(x, y);
-                    return Err(TheoryVerdict::Conflict(self.clause(expl)));
+            let diff = match self.shared_diffs.get(&(x, y)) {
+                Some(&diff) => diff,
+                None => {
+                    let (tx, ty) = (self.term_of[&x], self.term_of[&y]);
+                    let diff = self.difference(store, tx, ty);
+                    let diff = self
+                        .resolve(diff)
+                        .map_err(|Overflow| TheoryVerdict::Unknown(LiaLimit::Overflow))?;
+                    self.shared_diffs.insert((x, y), diff);
+                    diff
                 }
-                continue;
+            };
+            match diff {
+                (konst, None) => {
+                    if konst != 0 {
+                        let expl = self.euf.explain(x, y);
+                        return Err(TheoryVerdict::Conflict(self.clause(expl)));
+                    }
+                }
+                (konst, Some(col)) => self.assert_zero(konst, col, TagReason::Shared(x, y))?,
             }
-            self.assert_zero(konst, &combo, TagReason::Shared(x, y))?;
         }
         Ok(())
     }
 
     /// Assert one trail literal of a registered atom.
     fn assert_atom(&mut self, store: &TermStore, atom: u32, lit: Lit) -> Result<(), TheoryVerdict> {
-        let (shape, pos) = &self.shapes[atom as usize];
-        let val = lit == *pos;
+        let (shape, pos) = self.shapes[atom as usize];
+        let val = lit == pos;
         match shape {
             AtomShape::Eq { a, b, lia } => {
-                let (a, b) = (*a, *b);
                 if !val {
                     self.euf.assert_neq(a, b, lit);
                     return Ok(());
                 }
                 self.euf.assert_eq(a, b, lit);
-                if let Some((konst, combo)) = lia {
-                    if combo.is_empty() {
-                        if *konst != 0 {
-                            return Err(TheoryVerdict::Conflict(vec![lit.negate()]));
-                        }
-                    } else {
-                        let (konst, combo) = (*konst, combo.clone());
-                        self.assert_zero(konst, &combo, TagReason::Lit(lit))?;
+                match lia {
+                    Some((konst, None)) if konst != 0 => {
+                        return Err(TheoryVerdict::Conflict(vec![lit.negate()]));
                     }
+                    Some((konst, Some(col))) => {
+                        self.assert_zero(konst, col, TagReason::Lit(lit))?
+                    }
+                    _ => {}
                 }
                 self.close(store)
             }
-            AtomShape::Le0(k, combo) => {
-                let k = *k;
-                if combo.is_empty() {
+            AtomShape::Le0((k, col)) => {
+                let Some(col) = col else {
                     if (k <= 0) != val {
                         return Err(TheoryVerdict::Conflict(vec![lit.negate()]));
                     }
                     return Ok(());
-                }
-                let combo = combo.clone();
+                };
                 let tag = Some(self.tag(TagReason::Lit(lit)));
                 let res = if val {
                     // Σ combo + k <= 0  =>  Σ combo <= -k
-                    self.lia.assert_upper(&combo, -k, tag)
+                    self.lia.assert_upper_col(col, -k, tag)
                 } else {
                     // Σ combo + k >= 1  =>  Σ combo >= 1 - k
-                    self.lia.assert_lower(&combo, 1 - k, tag)
+                    self.lia.assert_lower_col(col, 1 - k, tag)
                 };
                 match res {
                     Ok(None) => Ok(()),
@@ -1766,7 +1786,7 @@ impl Theory {
             }
             AtomShape::Bool(n) => {
                 let target = if val { self.true_node } else { self.false_node };
-                self.euf.assert_eq(*n, target, lit);
+                self.euf.assert_eq(n, target, lit);
                 self.close(store)
             }
         }

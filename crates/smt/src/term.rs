@@ -14,7 +14,7 @@
 //! rewriting, which both shrinks queries and reduces the need for
 //! theory-combination reasoning downstream.
 
-use std::collections::HashMap;
+use crate::fxhash::HashMap;
 use std::fmt;
 
 /// Interned symbol (function, variable, or sort name).
@@ -196,13 +196,13 @@ impl TermStore {
         let mut s = TermStore {
             terms: Vec::new(),
             sorts_of: Vec::new(),
-            term_map: HashMap::new(),
+            term_map: HashMap::default(),
             sorts: Vec::new(),
-            sort_map: HashMap::new(),
+            sort_map: HashMap::default(),
             symbols: Vec::new(),
-            symbol_map: HashMap::new(),
+            symbol_map: HashMap::default(),
             funcs: Vec::new(),
-            func_map: HashMap::new(),
+            func_map: HashMap::default(),
             datatypes: Vec::new(),
             fresh_counter: 0,
         };
@@ -1023,7 +1023,7 @@ impl TermStore {
     /// shifts are avoided because nested quantifiers use disjoint indices —
     /// the VC layer numbers binders globally per quantifier).
     pub fn substitute(&mut self, t: TermId, subst: &[(u32, TermId)]) -> TermId {
-        let mut cache: HashMap<TermId, TermId> = HashMap::new();
+        let mut cache: HashMap<TermId, TermId> = HashMap::default();
         self.subst_rec(t, subst, &mut cache)
     }
 
