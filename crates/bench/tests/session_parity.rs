@@ -1,23 +1,26 @@
-//! Incremental-verification parity: per-module solver sessions (push/pop
-//! frames over a once-encoded context) and the content-addressed result
+//! Incremental-verification parity: per-module base sessions (a context
+//! encoded once, cloned for each function) and the content-addressed result
 //! cache must be *invisible* in every deterministic quantity. For each
 //! example system this asserts that session-reuse verification produces the
-//! same verdicts, unsat cores, diagnostics, and resource-meter totals as a
-//! fresh solver per function, at 0, 1 and 8 threads, and that a warm-cache
-//! run answers every function from the cache without opening a session.
-//! The `#[epr_mode]` models are held to the same contract: each module's
-//! flag picks its own solver mode, in sessions as in fresh solvers. After an
-//! edit, a run through a warm cache equals a fresh run: one body edit
-//! misses for the edited function alone, an edit to a spec function or
-//! datatype in a module the function does not import still reaches its
-//! key (the encoder resolves both krate-wide), and (in the `#[ignore]`d
-//! soak) random spec-body, ensures, datatype and axiom edits never replay
-//! a stale verdict.
+//! same verdicts, unsat cores, diagnostics, krate lints and resource-meter
+//! totals as a fresh solver per function, at 0, 1, 2 and 8 threads, and
+//! that a warm-cache run answers every function from the cache without
+//! opening a session. The `#[epr_mode]` models are held to the same
+//! contract: each module's flag picks its own solver mode, in sessions as
+//! in fresh solvers. After an edit, a run through a warm cache equals a
+//! fresh run: one body edit misses for the edited function alone, an edit
+//! to a spec function or datatype in a module the function does not import
+//! still reaches its key (the encoder resolves both krate-wide), and (in
+//! the `#[ignore]`d soaks) random spec-body, ensures, datatype and axiom
+//! edits never replay a stale verdict, and no thread schedule moves any
+//! deterministic quantity.
 
 use veris_bench::baseline::BASELINE_RLIMIT;
 use veris_bench::casestudy;
-use veris_vc::{verify_function, verify_krate, FnReport, KrateReport, Status, Style, VcConfig};
-use veris_vir::expr::{call, int, ite, tru, var, ExprExt};
+use veris_vc::{
+    lint_ids, verify_function, verify_krate, FnReport, KrateReport, Status, Style, VcConfig,
+};
+use veris_vir::expr::{call, int, ite, tru, var, Expr, ExprExt};
 use veris_vir::module::{DatatypeDef, FnBody, Function, Mode, Module};
 use veris_vir::stmt::Stmt;
 use veris_vir::ty::Ty;
@@ -59,9 +62,9 @@ fn assert_deterministic_eq(system: &str, a: &FnReport, b: &FnReport, what: &str)
 }
 
 /// Session reuse must be byte-identical to fresh per-function solving, and
-/// neither the work-stealing 8-thread schedule nor `threads = 0` (run
-/// inline, like 1) may perturb any verdict or counter (the meter is
-/// deterministic solver work, not wall-clock).
+/// neither a multi-threaded schedule (2 threads, the benchmark's setting,
+/// or 8) nor `threads = 0` (run inline, like 1) may perturb any verdict or
+/// counter (the meter is deterministic solver work, not wall-clock).
 #[test]
 fn sessions_match_fresh_solver_for_every_system() {
     for system in systems() {
@@ -71,7 +74,8 @@ fn sessions_match_fresh_solver_for_every_system() {
 }
 
 /// Verify `krate` at 1 thread, check every function against a fresh
-/// solver and against 0 and 8 threads, and return the 1-thread report.
+/// solver and the whole run against 0, 2 and 8 threads, and return the
+/// 1-thread report.
 fn assert_sessions_match_fresh(system: &str, krate: &Krate) -> KrateReport {
     let cfg = cfg();
     let t1 = verify_krate(krate, &cfg, 1);
@@ -87,23 +91,101 @@ fn assert_sessions_match_fresh(system: &str, krate: &Krate) -> KrateReport {
         let fresh = verify_function(krate, &rep.name, &cfg);
         assert_deterministic_eq(system, &fresh, rep, "fresh vs session");
     }
-    for threads in [0, 8] {
+    for threads in [0, 2, 8] {
         let other = verify_krate(krate, &cfg, threads);
-        let what = format!("1 vs {threads} threads");
-        assert_eq!(
-            t1.functions.len(),
-            other.functions.len(),
-            "{system}: report length at {what}"
-        );
-        for (a, b) in t1.functions.iter().zip(&other.functions) {
-            assert_deterministic_eq(system, a, b, &what);
-        }
-        assert_eq!(
-            t1.sessions, other.sessions,
-            "{system}: session counters at {what}"
-        );
+        assert_same_run(system, &t1, &other, &format!("1 vs {threads} threads"));
     }
     t1
+}
+
+/// Two runs of one krate agree on every deterministic quantity: each
+/// function's report, the session counters and the krate lints.
+fn assert_same_run(system: &str, a: &KrateReport, b: &KrateReport, what: &str) {
+    assert_eq!(
+        a.functions.len(),
+        b.functions.len(),
+        "{system}: report length at {what}"
+    );
+    for (fa, fb) in a.functions.iter().zip(&b.functions) {
+        assert_deterministic_eq(system, fa, fb, what);
+    }
+    assert_eq!(
+        a.sessions, b.sessions,
+        "{system}: session counters at {what}"
+    );
+    assert_eq!(a.lints, b.lints, "{system}: krate lints at {what}");
+}
+
+/// The body of spec function `dbl`, `inc` or `dec` over `x`.
+fn spec_value(name: &str, x: &Expr) -> Expr {
+    match name {
+        "dbl" => x.add(x.clone()),
+        "inc" => x.add(int(1)),
+        _ => x.sub(int(1)),
+    }
+}
+
+/// `spec fn name(x: int) -> int { spec_value(name, x) }`.
+fn spec_fn(name: &str) -> Function {
+    Function::new(name, Mode::Spec)
+        .param("x", Ty::Int)
+        .returns("r", Ty::Int)
+        .spec_body(spec_value(name, &var("x", Ty::Int)))
+}
+
+/// `proof fn name(x: int) ensures spec(x) == spec_value(spec, x), ... {}`
+/// with one clause per spec function in `uses`, so the function's clone
+/// axiomatizes exactly those.
+fn user_of(name: &str, uses: &[&str]) -> Function {
+    let x = var("x", Ty::Int);
+    let mut f = Function::new(name, Mode::Proof).param("x", Ty::Int);
+    for &spec in uses {
+        let value = spec_value(spec, &x);
+        f = f.ensures(call(spec, vec![x.clone()], Ty::Int).eq_e(value));
+    }
+    f.stmts(vec![])
+}
+
+/// Module `specs` defines `dbl`, `inc` and `dec`. Module `left` calls `dbl`
+/// and `dec` in one function and `inc` and `dec` in another; module `right`
+/// calls `inc` in one and `dbl` in another. `dbl` and `inc` are each
+/// axiomatized in two module sessions; `dec` in one session, though by two
+/// of its functions.
+fn shared_spec_krate() -> Krate {
+    let specs = Module::new("specs")
+        .func(spec_fn("dbl"))
+        .func(spec_fn("inc"))
+        .func(spec_fn("dec"));
+    let left = Module::new("left")
+        .import("specs")
+        .func(user_of("left_a", &["dbl", "dec"]))
+        .func(user_of("left_b", &["inc", "dec"]));
+    let right = Module::new("right")
+        .import("specs")
+        .func(user_of("right_c", &["inc"]))
+        .func(user_of("right_d", &["dbl"]));
+    Krate::new().module(specs).module(left).module(right)
+}
+
+/// The redundancy lint counts module sessions, not functions: the spec
+/// functions two modules axiomatize are reported, one axiomatized by two
+/// functions of one module is not, and every thread count agrees.
+#[test]
+fn spec_axiom_redundancy_lint_counts_modules_at_every_thread_count() {
+    let krate = shared_spec_krate();
+    let rep = assert_sessions_match_fresh("shared-spec", &krate);
+    assert!(rep.all_verified(), "{:?}", rep.failures());
+    let lint = rep
+        .lints
+        .iter()
+        .find(|d| d.code == lint_ids::REDUNDANT_SPEC_AXIOM)
+        .expect("the redundancy lint fires");
+    let items: Vec<(&str, &str)> = lint
+        .items
+        .iter()
+        .map(|i| (i.label.as_str(), i.value.as_str()))
+        .collect();
+    assert_eq!(items, [("dbl", "2 sessions"), ("inc", "2 sessions")]);
 }
 
 /// A warm cache run of an unchanged crate answers every function from the
@@ -565,7 +647,7 @@ fn hoist_definitions(krate: &Krate) -> Krate {
 /// hoisted into a module nobody imports. Each edit is verified through a
 /// cache warmed on the unedited system and compared with a fresh run. Run
 /// in release:
-/// `cargo test --release -p veris-bench --test session_parity -- --ignored`.
+/// `cargo test --release -p veris-bench --test session_parity -- --ignored cache_soundness_soak`.
 #[test]
 #[ignore = "soak: run in release"]
 fn cache_soundness_soak() {
@@ -613,4 +695,26 @@ fn cache_soundness_soak() {
         verdicts_moved > 0,
         "the soak's edits must move some verdict"
     );
+}
+
+/// Thread-schedule soak: every example system verified 50 times at 2, 3
+/// and 8 threads, each run equal to the 1-thread run in every deterministic
+/// quantity, whichever worker builds which module's base and whichever
+/// clone runs first. Run in release:
+/// `cargo test --release -p veris-bench --test session_parity -- --ignored thread_schedule_soak`.
+#[test]
+#[ignore = "soak: run in release"]
+fn thread_schedule_soak() {
+    let cfg = cfg();
+    for system in systems() {
+        let krate = casestudy::krate(system).expect("known system");
+        let t1 = verify_krate(&krate, &cfg, 1);
+        for threads in [2, 3, 8] {
+            for run in 0..50 {
+                let other = verify_krate(&krate, &cfg, threads);
+                let what = format!("1 vs {threads} threads, run {run}");
+                assert_same_run(system, &t1, &other, &what);
+            }
+        }
+    }
 }

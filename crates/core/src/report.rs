@@ -28,8 +28,8 @@ pub struct MacroRow {
     pub hyps_asserted: usize,
     pub hyps_used: usize,
     /// Incremental-verification counters from the 1-core run: module solver
-    /// sessions opened, context re-encodings avoided by push/pop reuse, and
-    /// result-cache hits/misses.
+    /// sessions opened, context re-encodings avoided by base-session reuse,
+    /// and result-cache hits/misses.
     pub sessions: SessionStats,
     /// Pre-solver static-analysis findings emitted for the 1-core run
     /// (errors + warnings + notes; suppressed findings are not counted).

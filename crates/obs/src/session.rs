@@ -2,7 +2,7 @@
 //! content-addressed result cache.
 //!
 //! The VC layer verifies each function either inside a reused module
-//! session (context encoded once, function checked in a push/pop frame) or
+//! session (context encoded once, function checked on a clone of it) or
 //! straight from the persistent result cache. These counters make that
 //! behavior observable — `profile`/`baseline` print them, the Fig 9 macro
 //! table reports cache hits, and CI asserts a warm run re-encodes nothing.

@@ -79,37 +79,6 @@ impl LBool {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct ClauseRef(u32);
 
-/// Snapshot of the complete mutable solver state, taken by
-/// [`SatSolver::push`] and restored wholesale by [`SatSolver::pop`].
-///
-/// A full snapshot (rather than watermark-based trimming) guarantees that a
-/// popped solver is *bit-identical* to its state at push time — including
-/// VSIDS activities, saved phases, the in-place literal permutations the
-/// two-watched-literal scheme applies to clause bodies, and the search
-/// counters — so a check run inside a frame is byte-for-byte identical to
-/// the same check run on a fresh solver with the same prefix of operations.
-struct SatFrame {
-    num_vars: u32,
-    clauses: Vec<Vec<Lit>>,
-    watches: Vec<Vec<ClauseRef>>,
-    assign: Vec<LBool>,
-    phase: Vec<bool>,
-    level: Vec<u32>,
-    reason: Vec<Option<ClauseRef>>,
-    trail: Vec<Lit>,
-    trail_lim: Vec<usize>,
-    qhead: usize,
-    activity: Vec<f64>,
-    var_inc: f64,
-    heap: Vec<BVar>,
-    heap_index: Vec<i32>,
-    conflicts: u64,
-    decisions: u64,
-    propagations: u64,
-    root_conflict: bool,
-    conflict_core: Vec<Lit>,
-}
-
 /// Outcome of a solve call.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SatResult {
@@ -128,7 +97,11 @@ pub enum FinalCheck {
     Conflict(Vec<Lit>),
 }
 
-/// CDCL SAT solver.
+/// CDCL SAT solver. A `clone()` copies the complete state — clauses with
+/// their in-place watch permutations, VSIDS activities, saved phases and
+/// counters — so a search on the copy is byte-for-byte the search a fresh
+/// solver with the same prefix of operations would run.
+#[derive(Clone)]
 pub struct SatSolver {
     num_vars: u32,
     /// Input and learnt clauses of two or more literals; the first two
@@ -164,8 +137,6 @@ pub struct SatSolver {
     conflict_core: Vec<Lit>,
     /// Optional resource meter; charged during search when present.
     meter: Option<Arc<ResourceMeter>>,
-    /// Open assertion frames (see [`SatSolver::push`]).
-    frames: Vec<SatFrame>,
 }
 
 impl Default for SatSolver {
@@ -198,74 +169,12 @@ impl SatSolver {
             root_conflict: false,
             conflict_core: Vec::new(),
             meter: None,
-            frames: Vec::new(),
         }
     }
 
     /// Attach a resource meter; search work is charged to it from now on.
     pub fn set_meter(&mut self, meter: Arc<ResourceMeter>) {
         self.meter = Some(meter);
-    }
-
-    /// Number of open assertion frames.
-    pub fn depth(&self) -> u32 {
-        self.frames.len() as u32
-    }
-
-    /// Open an assertion frame: snapshot the complete solver state. A later
-    /// [`SatSolver::pop`] restores it exactly, so anything added or learnt
-    /// in between leaves no trace.
-    pub fn push(&mut self) {
-        self.frames.push(SatFrame {
-            num_vars: self.num_vars,
-            clauses: self.clauses.clone(),
-            watches: self.watches.clone(),
-            assign: self.assign.clone(),
-            phase: self.phase.clone(),
-            level: self.level.clone(),
-            reason: self.reason.clone(),
-            trail: self.trail.clone(),
-            trail_lim: self.trail_lim.clone(),
-            qhead: self.qhead,
-            activity: self.activity.clone(),
-            var_inc: self.var_inc,
-            heap: self.heap.clone(),
-            heap_index: self.heap_index.clone(),
-            conflicts: self.conflicts,
-            decisions: self.decisions,
-            propagations: self.propagations,
-            root_conflict: self.root_conflict,
-            conflict_core: self.conflict_core.clone(),
-        });
-    }
-
-    /// Close the innermost assertion frame, restoring the exact state at
-    /// the matching [`SatSolver::push`].
-    ///
-    /// # Panics
-    /// Panics if no frame is open.
-    pub fn pop(&mut self) {
-        let frame = self.frames.pop().expect("pop without matching push");
-        self.num_vars = frame.num_vars;
-        self.clauses = frame.clauses;
-        self.watches = frame.watches;
-        self.assign = frame.assign;
-        self.phase = frame.phase;
-        self.level = frame.level;
-        self.reason = frame.reason;
-        self.trail = frame.trail;
-        self.trail_lim = frame.trail_lim;
-        self.qhead = frame.qhead;
-        self.trail_low = 0;
-        self.activity = frame.activity;
-        self.var_inc = frame.var_inc;
-        self.heap = frame.heap;
-        self.heap_index = frame.heap_index;
-        self.conflicts = frame.conflicts;
-        self.decisions = frame.decisions;
-        self.propagations = frame.propagations;
-        self.root_conflict = frame.root_conflict;
-        self.conflict_core = frame.conflict_core;
     }
 
     pub fn new_var(&mut self) -> BVar {
@@ -1055,18 +964,21 @@ mod tests {
         assert_eq!(core, vec![lit(1), lit(-1)]);
     }
 
+    // A clone is the solver's assertion frame: work on the copy, dropped
+    // afterwards, leaves the base exactly as it was (the "pop").
+
     #[test]
     fn pop_removes_clauses_added_above() {
         let mut s = solver_with_vars(2);
         assert!(s.add_clause(vec![lit(1), lit(2)]));
-        s.push();
-        s.add_clause(vec![lit(-1)]);
-        s.add_clause(vec![lit(-2)]);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        s.pop();
-        // The frame's units (and the root conflict) are gone.
+        let mut frame = s.clone();
+        frame.add_clause(vec![lit(-1)]);
+        frame.add_clause(vec![lit(-2)]);
+        assert_eq!(frame.solve(), SatResult::Unsat);
+        drop(frame);
+        // The copy's units (and its root conflict) never reached the base.
         assert_eq!(s.solve(), SatResult::Sat);
-        assert_eq!(s.depth(), 0);
+        assert_eq!(s.clauses.len(), 1);
     }
 
     #[test]
@@ -1075,14 +987,14 @@ mod tests {
         assert!(s.add_clause(vec![lit(1), lit(2)]));
         assert_eq!(s.solve(), SatResult::Sat);
         let (c0, d0, p0) = (s.conflicts, s.decisions, s.propagations);
-        s.push();
-        let v = s.new_var();
-        assert!(s.add_clause(vec![Lit::pos(v), lit(-1)]));
-        assert_eq!(s.solve(), SatResult::Sat);
-        s.pop();
+        let mut frame = s.clone();
+        let v = frame.new_var();
+        assert!(frame.add_clause(vec![Lit::pos(v), lit(-1)]));
+        assert_eq!(frame.solve(), SatResult::Sat);
+        drop(frame);
         assert_eq!(s.num_vars(), 2);
         assert_eq!((s.conflicts, s.decisions, s.propagations), (c0, d0, p0));
-        // Solver still fully usable after the pop.
+        // The base is still fully usable after the copy is gone.
         assert!(s.add_clause(vec![lit(-1)]));
         assert_eq!(s.solve(), SatResult::Sat);
         assert_eq!(s.value_var(BVar(1)), LBool::True);
@@ -1092,17 +1004,17 @@ mod tests {
     fn nested_push_pop() {
         let mut s = solver_with_vars(3);
         assert!(s.add_clause(vec![lit(1), lit(2), lit(3)]));
-        s.push();
-        s.add_clause(vec![lit(-1)]);
-        s.push();
-        s.add_clause(vec![lit(-2)]);
-        s.add_clause(vec![lit(-3)]);
-        assert_eq!(s.solve(), SatResult::Unsat);
-        s.pop();
+        let mut outer = s.clone();
+        outer.add_clause(vec![lit(-1)]);
+        let mut inner = outer.clone();
+        inner.add_clause(vec![lit(-2)]);
+        inner.add_clause(vec![lit(-3)]);
+        assert_eq!(inner.solve(), SatResult::Unsat);
+        drop(inner);
+        assert_eq!(outer.solve(), SatResult::Sat);
+        drop(outer);
         assert_eq!(s.solve(), SatResult::Sat);
-        s.pop();
-        assert_eq!(s.solve(), SatResult::Sat);
-        assert_eq!(s.depth(), 0);
+        assert_eq!(s.clauses.len(), 1);
     }
 
     /// PHP(3,2) with a relaxation literal `r` in every clause: unsat under
@@ -1128,22 +1040,22 @@ mod tests {
     #[test]
     fn pop_discards_learnts() {
         let mut s = relaxed_pigeonhole();
-        let clauses_before_push = s.clauses.len();
-        s.push();
+        let clauses_before = s.clauses.len();
+        let mut frame = s.clone();
         let asm = [lit(-7)];
         assert_eq!(
-            s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
+            frame.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),
             SatResult::Unsat
         );
         assert!(
-            s.clauses.len() > clauses_before_push,
+            frame.clauses.len() > clauses_before,
             "the PHP search must learn clauses"
         );
-        s.pop();
+        drop(frame);
         assert_eq!(
             s.clauses.len(),
-            clauses_before_push,
-            "pop restores the pre-push clause set"
+            clauses_before,
+            "the copy's learnts never reach the base"
         );
         assert_eq!(
             s.solve_with_assumptions(&asm, |_| FinalCheck::Consistent),

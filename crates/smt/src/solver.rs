@@ -20,7 +20,7 @@ use crate::quant::{
     enumerate_matches, infer_triggers, pattern_head, ClassIndex, PatternHead, TriggerPolicy,
 };
 use crate::sat::{FinalCheck, LBool, Lit, SatResult, SatSolver};
-use crate::term::{Quant, Sort, SortId, StoreMark, TermId, TermKind, TermStore};
+use crate::term::{Quant, Sort, SortId, TermId, TermKind, TermStore};
 
 /// An instantiation staged by an e-matching round: (quantifier proxy
 /// literal, quantifier term, variable binding, instantiated body).
@@ -100,6 +100,16 @@ pub struct Stats {
 }
 
 /// The SMT solver. Owns the term store.
+///
+/// A `clone()` is a deep copy of the whole state — term store, every map
+/// (Fx-hashed, so the copy iterates in the same order), the SAT core and
+/// the statistics — and is therefore indistinguishable, down to term-id and
+/// SAT-variable allocation, from a fresh solver given the same operations.
+/// This is what lets a module session encode a shared context once and
+/// verify each function on its own copy while reproducing fresh-solver
+/// verdicts, cores and meter charges byte for byte. The meter `Arc` is
+/// shared by the copy until [`Solver::set_meter`] replaces it.
+#[derive(Clone)]
 pub struct Solver {
     pub store: TermStore,
     config: Config,
@@ -158,41 +168,6 @@ pub struct Solver {
     meter: Option<Arc<ResourceMeter>>,
     /// Per-quantifier instantiation profile, accumulated across rounds.
     profile: QuantProfile,
-    /// Open assertion frames (see [`Solver::push`]).
-    frames: Vec<SolverFrame>,
-}
-
-/// Snapshot of the formula-layer state for [`Solver::push`]/[`Solver::pop`].
-///
-/// The maps are cloned wholesale rather than trimmed by key watermarks: a
-/// frame may *re-intern* a term that hashes to an existing id while adding
-/// new facts about it (e.g. new `divmod_done`/`tricho_done` entries), so
-/// value-watermark filtering cannot reconstruct the pre-push state exactly.
-/// The term store itself is rolled back by allocation watermark, which keeps
-/// post-pop id allocation identical to a fresh solver's.
-struct SolverFrame {
-    store_mark: StoreMark,
-    tseitin: HashMap<TermId, Lit>,
-    lit_of_atom: HashMap<TermId, Lit>,
-    atoms_len: usize,
-    quants_len: usize,
-    quant_set: HashSet<TermId>,
-    registered: HashSet<TermId>,
-    ground_index: HashMap<PatternHead, Vec<TermId>>,
-    ground_by_sort: HashMap<SortId, Vec<TermId>>,
-    instances: HashMap<TermId, HashSet<Vec<(u32, TermId)>>>,
-    combo_splits: HashSet<(TermId, TermId)>,
-    term_gen: HashMap<TermId, u32>,
-    divmod_done: HashSet<TermId>,
-    dt_done: HashSet<TermId>,
-    tricho_done: HashSet<TermId>,
-    asserted_len: usize,
-    has_bv: bool,
-    has_opaque: bool,
-    hypotheses_len: usize,
-    last_core: Option<Vec<String>>,
-    stats: Stats,
-    profile: QuantProfile,
 }
 
 impl Solver {
@@ -229,81 +204,7 @@ impl Solver {
             stats: Stats::default(),
             meter: None,
             profile: QuantProfile::new(),
-            frames: Vec::new(),
         }
-    }
-
-    /// Open an assertion frame. Everything asserted, encoded, or learnt
-    /// until the matching [`Solver::pop`] is rolled back exactly — the
-    /// popped solver is indistinguishable (down to term-id and SAT-variable
-    /// allocation, statistics, and search state) from one that never saw
-    /// the frame. This is what lets a module session verify many functions
-    /// against one shared context encoding while reproducing fresh-solver
-    /// verdicts, cores, and meter charges byte for byte.
-    pub fn push(&mut self) {
-        self.drain_queue();
-        self.sat.push();
-        self.frames.push(SolverFrame {
-            store_mark: self.store.mark(),
-            tseitin: self.tseitin.clone(),
-            lit_of_atom: self.lit_of_atom.clone(),
-            atoms_len: self.atoms.len(),
-            quants_len: self.quants.len(),
-            quant_set: self.quant_set.clone(),
-            registered: self.registered.clone(),
-            ground_index: self.ground_index.clone(),
-            ground_by_sort: self.ground_by_sort.clone(),
-            instances: self.instances.clone(),
-            combo_splits: self.combo_splits.clone(),
-            term_gen: self.term_gen.clone(),
-            divmod_done: self.divmod_done.clone(),
-            dt_done: self.dt_done.clone(),
-            tricho_done: self.tricho_done.clone(),
-            asserted_len: self.asserted.len(),
-            has_bv: self.has_bv,
-            has_opaque: self.has_opaque,
-            hypotheses_len: self.hypotheses.len(),
-            last_core: self.last_core.clone(),
-            stats: self.stats,
-            profile: self.profile.clone(),
-        });
-    }
-
-    /// Close the innermost assertion frame (see [`Solver::push`]).
-    ///
-    /// # Panics
-    /// Panics if no frame is open.
-    pub fn pop(&mut self) {
-        let f = self.frames.pop().expect("pop without matching push");
-        self.sat.pop();
-        self.store.truncate_to(&f.store_mark);
-        self.tseitin = f.tseitin;
-        self.lit_of_atom = f.lit_of_atom;
-        self.atoms.truncate(f.atoms_len);
-        self.quants.truncate(f.quants_len);
-        self.quant_set = f.quant_set;
-        self.registered = f.registered;
-        self.ground_index = f.ground_index;
-        self.ground_by_sort = f.ground_by_sort;
-        self.instances = f.instances;
-        self.combo_splits = f.combo_splits;
-        self.term_gen = f.term_gen;
-        self.divmod_done = f.divmod_done;
-        self.dt_done = f.dt_done;
-        self.tricho_done = f.tricho_done;
-        self.asserted.truncate(f.asserted_len);
-        self.has_bv = f.has_bv;
-        self.has_opaque = f.has_opaque;
-        self.hypotheses.truncate(f.hypotheses_len);
-        self.last_core = f.last_core;
-        self.stats = f.stats;
-        self.profile = f.profile;
-        self.queue.clear();
-    }
-
-    /// Number of open assertion frames.
-    pub fn depth(&self) -> u32 {
-        self.frames.len() as u32
     }
 
     /// Attach a resource meter. The SAT core, congruence closure, simplex,
@@ -394,7 +295,13 @@ impl Solver {
             .iter()
             .map(|&k| self.lift_ites(k, from_axiom, cache))
             .collect();
-        let mut t2 = self.store.rebuild(t, &new_kids);
+        // Rebuilding over unchanged children re-interns `t` itself, so skip
+        // the `mk_*` calls (for `Linear`, an `mk_add` of `mk_mul`s).
+        let mut t2 = if new_kids == kids {
+            t
+        } else {
+            self.store.rebuild(t, &new_kids)
+        };
         if let TermKind::Ite(c, a, b) = *self.store.kind(t2) {
             if self.store.sort_of(t2) != self.store.bool_sort() && !self.store.has_bound_var(t2) {
                 let sort = self.store.sort_of(t2);

@@ -158,19 +158,8 @@ pub enum TermKind {
     BvUlt(TermId, TermId),
 }
 
-/// Allocation watermark of a [`TermStore`], taken by [`TermStore::mark`]
-/// and restored by [`TermStore::truncate_to`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StoreMark {
-    terms: usize,
-    sorts: usize,
-    symbols: usize,
-    funcs: usize,
-    datatypes: usize,
-    fresh_counter: u32,
-}
-
 /// Hash-consing term store plus symbol/sort/function tables.
+#[derive(Clone)]
 pub struct TermStore {
     terms: Vec<TermKind>,
     sorts_of: Vec<SortId>,
@@ -414,44 +403,6 @@ impl TermStore {
 
     pub fn num_terms(&self) -> usize {
         self.terms.len()
-    }
-
-    /// Watermark of the store's allocation state, for
-    /// [`TermStore::truncate_to`]. Numeric ids (`TermId`, `FuncId`, …) are
-    /// allocated densely, so restoring the allocation counters after a
-    /// speculative encoding makes subsequent allocations reuse the *same*
-    /// ids a fresh store would have produced — which matters because id
-    /// values leak into search heuristics (theory scans sort by `TermId`;
-    /// pattern indices order by `FuncId`).
-    pub fn mark(&self) -> StoreMark {
-        StoreMark {
-            terms: self.terms.len(),
-            sorts: self.sorts.len(),
-            symbols: self.symbols.len(),
-            funcs: self.funcs.len(),
-            datatypes: self.datatypes.len(),
-            fresh_counter: self.fresh_counter,
-        }
-    }
-
-    /// Roll the store back to `mark`: everything interned, declared, or
-    /// freshly named since is forgotten.
-    pub fn truncate_to(&mut self, mark: &StoreMark) {
-        self.terms.truncate(mark.terms);
-        self.sorts_of.truncate(mark.terms);
-        let n = mark.terms as u32;
-        self.term_map.retain(|_, id| id.0 < n);
-        self.sorts.truncate(mark.sorts);
-        let n = mark.sorts as u32;
-        self.sort_map.retain(|_, id| id.0 < n);
-        self.symbols.truncate(mark.symbols);
-        let n = mark.symbols as u32;
-        self.symbol_map.retain(|_, s| s.0 < n);
-        self.funcs.truncate(mark.funcs);
-        let n = mark.funcs as u32;
-        self.func_map.retain(|_, f| f.0 < n);
-        self.datatypes.truncate(mark.datatypes);
-        self.fresh_counter = mark.fresh_counter;
     }
 
     // ------------------------------------------------------------------

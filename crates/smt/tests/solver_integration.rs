@@ -773,7 +773,9 @@ fn quantified_sat_flagged_not_validated() {
 }
 
 // ----------------------------------------------------------------------
-// Assertion frames (push/pop) — the substrate of module sessions
+// Assertion frames — the substrate of module sessions. A frame is a clone
+// of the base solver: work on the copy, dropped afterwards, leaves the base
+// exactly as it was (the "pop").
 // ----------------------------------------------------------------------
 
 #[test]
@@ -785,15 +787,16 @@ fn push_pop_restores_verdicts() {
     let ge = s.store.mk_ge(x, one);
     s.assert(ge);
     assert_sat(&mut s);
-    s.push();
-    let zero = s.store.mk_int(0);
-    let le = s.store.mk_le(x, zero);
-    s.assert(le);
-    assert_unsat(&mut s);
-    s.pop();
-    // The frame's assertion is gone; the context alone is satisfiable.
+    let mut frame = s.clone();
+    let zero = frame.store.mk_int(0);
+    let le = frame.store.mk_le(x, zero);
+    frame.assert(le);
+    assert_unsat(&mut frame);
+    drop(frame);
+    // The frame's assertion never reached the base; the context alone is
+    // satisfiable.
     assert_sat(&mut s);
-    assert_eq!(s.depth(), 0);
+    assert_eq!(s.asserted, vec![ge]);
 }
 
 #[test]
@@ -804,25 +807,28 @@ fn push_pop_restores_labeled_hypotheses_and_core() {
     let one = s.store.mk_int(1);
     let ge = s.store.mk_ge(x, one);
     s.assert_labeled(ge, "ctx:x_pos");
-    s.push();
-    let zero = s.store.mk_int(0);
-    let le = s.store.mk_le(x, zero);
-    s.assert_labeled(le, "frame:x_nonpos");
-    assert_unsat(&mut s);
-    let core = s.unsat_core().expect("core after unsat").to_vec();
+    let mut frame = s.clone();
+    let zero = frame.store.mk_int(0);
+    let le = frame.store.mk_le(x, zero);
+    frame.assert_labeled(le, "frame:x_nonpos");
+    assert_unsat(&mut frame);
+    let core = frame.unsat_core().expect("core after unsat").to_vec();
     assert!(core.contains(&"ctx:x_pos".to_string()));
     assert!(core.contains(&"frame:x_nonpos".to_string()));
-    s.pop();
+    drop(frame);
+    assert_eq!(s.unsat_core(), None);
     assert_eq!(s.hypothesis_labels(), vec!["ctx:x_pos".to_string()]);
     assert_sat(&mut s);
 }
 
 #[test]
 fn push_pop_exact_replay_matches_fresh_solver() {
-    // A session solver (context, then frame A checked and popped, then
-    // frame B) must be indistinguishable from a fresh solver that encoded
-    // context + frame B directly: same term-store allocation, same SMT-LIB
-    // query bytes, same verdict, same unsat core, same search statistics.
+    // A clone of a session base checked after a dropped sibling clone
+    // (context, then frame A checked on one copy and dropped, then frame B
+    // on another) must be indistinguishable from a fresh solver that
+    // encoded context + frame B directly: same term-store allocation, same
+    // SMT-LIB query bytes, same verdict, same unsat core, same search
+    // statistics.
     let encode_ctx = |s: &mut Solver| {
         let int = s.store.int_sort();
         let f = s.store.declare_fun("f", vec![int], int);
@@ -854,17 +860,17 @@ fn push_pop_exact_replay_matches_fresh_solver() {
     encode_frame_b(&mut fresh, f, x, y);
     let fresh_result = fresh.check();
 
-    let mut session = solver();
-    let (f, x, y) = encode_ctx(&mut session);
-    session.push();
-    // Frame A: unrelated work that must leave no trace.
-    let w = session.store.mk_var("w", session.store.int_sort());
-    let ten = session.store.mk_int(10);
-    let gt = session.store.mk_gt(w, ten);
-    session.assert_labeled(gt, "a:w_big");
-    let _ = session.check();
-    session.pop();
-    session.push();
+    let mut base = solver();
+    let (f, x, y) = encode_ctx(&mut base);
+    // Frame A: unrelated work on a sibling copy that must leave no trace.
+    let mut sibling = base.clone();
+    let w = sibling.store.mk_var("w", sibling.store.int_sort());
+    let ten = sibling.store.mk_int(10);
+    let gt = sibling.store.mk_gt(w, ten);
+    sibling.assert_labeled(gt, "a:w_big");
+    let _ = sibling.check();
+    drop(sibling);
+    let mut session = base.clone();
     encode_frame_b(&mut session, f, x, y);
     let session_result = session.check();
 

@@ -10,9 +10,9 @@
 //! - [`style`] — the encoding-style axis (Verus vs Dafny/F*/Prusti/Creusot
 //!   mechanisms) used by the paper's comparative evaluation;
 //! - [`verify`] — the driver: per-function reports, crate-level parallel
-//!   verification via per-module solver sessions (push/pop frames over a
-//!   once-encoded context), query-size metrics, and time-to-error
-//!   measurement;
+//!   verification scheduled per function, each function on a clone of its
+//!   module's once-encoded base session, query-size metrics, and
+//!   time-to-error measurement;
 //! - [`cache`] — the content-addressed VC result cache: canonical
 //!   fingerprints of (visible context, WP goal, config) mapped to persisted
 //!   verdicts, so unchanged functions skip the solver on re-runs.

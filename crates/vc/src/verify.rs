@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use veris_lint::{ids as lint_ids, LintReport};
@@ -30,7 +30,7 @@ use veris_vir::module::{FnBody, Function, Krate, Mode, Module};
 use veris_vir::ty::Ty;
 
 use crate::cache;
-use crate::ctx::{CtxSnapshot, EncCtx};
+use crate::ctx::EncCtx;
 use crate::style::Style;
 use crate::wp::{vc_for_function, AssignEvent, SideObligation, WpResult};
 
@@ -77,9 +77,10 @@ pub struct VcConfig {
     /// Directory of the content-addressed VC result cache (`.veris-cache`).
     /// `None` disables caching; only [`verify_krate`] consults it.
     pub cache_dir: Option<PathBuf>,
-    /// Prior per-module meter totals (from a saved baseline) used to
-    /// schedule module sessions longest-first across worker threads.
-    /// Modules without an entry fall back to their function count.
+    /// Prior per-module meter totals (from a saved baseline) that order the
+    /// work list: [`verify_krate`] takes modules heaviest-first, each
+    /// module's functions in crate order. Modules without an entry fall
+    /// back to their function count.
     pub module_weights: Option<HashMap<String, u64>>,
 }
 
@@ -312,8 +313,8 @@ impl KrateReport {
 ///
 /// Shared verbatim by the fresh path ([`verify_function`]) and the module
 /// sessions in [`verify_krate`]: both perform the identical operation
-/// sequence against a fresh solver, so a session's level-0 state equals a
-/// fresh run's state at the same point and every downstream observable
+/// sequence against a fresh solver, so a clone of a session's base equals
+/// a fresh run's state at the same point and every downstream observable
 /// (verdict, core, meter, query bytes) stays byte-identical.
 fn encode_context(
     solver: &mut Solver,
@@ -652,32 +653,30 @@ fn locate_bindings(diag: &mut Diagnostic, srcmap: &SourceMap) {
     }
 }
 
-/// One module's reusable solver session.
+/// One module's encoded base session: the solver and encoder right after
+/// [`encode_context`], built once per run by the first worker that misses
+/// in the module and then shared, read-only, by every worker.
 ///
 /// The shared context (visible module axioms, theory instances, spec-fn
-/// axioms) is encoded once at assertion level 0 on an *unlimited* meter;
-/// its cost is captured in `ctx_cost`. Each function is then verified
-/// inside a `push`/`pop` frame with a fresh rlimit-bounded meter
-/// pre-charged with `ctx_cost` — so per-function meter totals, rlimit trip
-/// points, unsat cores, and query bytes are byte-identical to a fresh
-/// solver that re-encoded the context (see `encode_context`).
+/// axioms) is encoded on an *unlimited* meter; its cost is captured in
+/// `ctx_cost`. Each function is verified on a `clone()` of the base with a
+/// fresh rlimit-bounded meter pre-charged with `ctx_cost`, and the clone is
+/// dropped afterwards — so per-function meter totals, rlimit trip points,
+/// unsat cores, and query bytes are byte-identical to a fresh solver that
+/// re-encoded the context (see `encode_context`), whichever functions ran
+/// before on other clones or threads.
 ///
-/// Learnt clauses never outlive a frame's `pop`: retained lemmas would
-/// make a later function's search depend on which functions ran before it
-/// in the session, breaking the byte-for-byte parity contract with
-/// [`verify_function`].
+/// Learnt clauses die with their clone: retained lemmas would make a later
+/// function's search depend on the schedule, breaking the byte-for-byte
+/// parity contract with [`verify_function`].
 struct ModuleSession<'k> {
     solver: Solver,
     ctx: EncCtx<'k>,
-    ctx_snap: CtxSnapshot,
     ctx_cost: MeterSnapshot,
-    /// Spec functions axiomatized anywhere in this session (prelude or any
-    /// frame), for the krate-level redundancy lint.
-    axiomed: HashSet<String>,
 }
 
 impl<'k> ModuleSession<'k> {
-    /// Encode `module`'s shared context once; later frames start from here.
+    /// Encode `module`'s shared context once; every clone starts from here.
     fn open(
         krate: &'k Krate,
         module: &'k Module,
@@ -694,132 +693,135 @@ impl<'k> ModuleSession<'k> {
         time(&mut phases.encode, || {
             encode_context(&mut solver, &mut ctx, krate, module, cfg);
         });
-        let ctx_snap = ctx.snapshot();
-        let axiomed: HashSet<String> = ctx.axiomatized_spec_fns().into_iter().collect();
         ModuleSession {
             solver,
             ctx,
-            ctx_snap,
             ctx_cost: ctx_meter.snapshot(),
-            axiomed,
         }
     }
 
-    /// Verify one function in a fresh frame on top of the shared context.
+    /// Verify one function on a clone of the base. Also returns the spec
+    /// functions the clone axiomatized (the base's included), for the
+    /// krate-level redundancy lint.
     fn verify(
-        &mut self,
+        &self,
         krate: &Krate,
         fname: &str,
         wp: &WpResult,
         cfg: &VcConfig,
         t0: Instant,
         mut phases: PhaseTimes,
-    ) -> FnReport {
+    ) -> (FnReport, Vec<String>) {
         let meter = Arc::new(ResourceMeter::with_limit(Some(cfg.rlimit)));
         meter.precharge(&self.ctx_cost);
-        self.solver.set_meter(meter.clone());
-        self.solver.push();
+        let (mut solver, mut ctx) = time(&mut phases.smt_init, || {
+            (self.solver.clone(), self.ctx.clone())
+        });
+        solver.set_meter(meter.clone());
         let q = check_function(
             krate,
             fname,
             wp,
             cfg,
-            &mut self.solver,
-            &mut self.ctx,
+            &mut solver,
+            &mut ctx,
             &meter,
             &mut phases,
         );
-        for n in self.ctx.axiomatized_spec_fns() {
-            self.axiomed.insert(n);
-        }
-        self.solver.pop();
-        self.ctx.restore(&self.ctx_snap);
-        q.into_report(fname, t0.elapsed(), meter.snapshot(), phases)
+        let rep = q.into_report(fname, t0.elapsed(), meter.snapshot(), phases);
+        (rep, ctx.axiomatized_spec_fns())
     }
 }
 
-/// One module's slice of the verification work: which output slots its
-/// functions report into, and its scheduling weight.
+/// One module's slice of the verification work.
 struct ModuleGroup<'k> {
     module: &'k Module,
     /// `(output slot, function name)` in original crate order.
     fns: Vec<(usize, String)>,
     weight: u64,
+    /// The module's cache context key, computed by the first worker that
+    /// needs it.
+    context: OnceLock<String>,
+    /// The encoded base, built by the first worker that misses in the
+    /// module.
+    base: OnceLock<ModuleSession<'k>>,
 }
 
-/// Run one module group: probe the cache per function, lazily open the
-/// session on the first miss, verify misses in push/pop frames. Returns
-/// the slot-tagged reports, the group's counters, and the spec functions
-/// its session axiomatized.
-fn run_module_group(
-    krate: &Krate,
-    group: &ModuleGroup,
+/// Verify one function of `group`: probe the cache, and on a miss verify
+/// on a clone of the module's base, building the base first when no worker
+/// has yet. Returns the report and the spec functions its clone
+/// axiomatized (none on a cache hit).
+fn run_function<'k>(
+    krate: &'k Krate,
+    group: &ModuleGroup<'k>,
+    fname: &str,
     cfg: &VcConfig,
     lint: &LintReport,
-) -> (Vec<(usize, FnReport)>, SessionStats, HashSet<String>) {
-    let mut stats = SessionStats::new();
-    let mut sess: Option<ModuleSession> = None;
-    let mut srcmap: Option<SourceMap> = None;
-    let mut out = Vec::new();
-    let context = cfg
-        .cache_dir
-        .as_ref()
-        .map(|_| cache::context_key(krate, group.module, cfg));
-    for (slot, fname) in &group.fns {
-        let t0 = Instant::now();
-        let (_, f) = krate.find_function(fname).expect("group function exists");
-        let mut phases = PhaseTimes::default();
-        let wp = time(&mut phases.vir, || vc_for_function(krate, f));
-        let fp = context.as_ref().map(|context| {
-            let lint_key = veris_lint::cache_component(lint, f);
-            cache::fingerprint(context, fname, &wp, &lint_key)
-        });
-        if let (Some(dir), Some(fp)) = (&cfg.cache_dir, &fp) {
-            if let Some(mut rep) = cache::load(dir, fp) {
-                stats.cache_hits += 1;
-                for d in &mut rep.diagnostics {
-                    if d.code == "counterexample" {
-                        let map = srcmap.get_or_insert_with(|| SourceMap::for_krate(krate));
-                        locate_bindings(d, map);
-                    }
+    stats: &mut SessionStats,
+    srcmap: &mut Option<SourceMap>,
+) -> (FnReport, Vec<String>) {
+    let t0 = Instant::now();
+    let (_, f) = krate.find_function(fname).expect("group function exists");
+    let mut phases = PhaseTimes::default();
+    let wp = time(&mut phases.vir, || vc_for_function(krate, f));
+    let fp = cfg.cache_dir.as_ref().map(|_| {
+        let context = group
+            .context
+            .get_or_init(|| cache::context_key(krate, group.module, cfg));
+        let lint_key = veris_lint::cache_component(lint, f);
+        cache::fingerprint(context, fname, &wp, &lint_key)
+    });
+    if let (Some(dir), Some(fp)) = (&cfg.cache_dir, &fp) {
+        if let Some(mut rep) = cache::load(dir, fp) {
+            stats.cache_hits += 1;
+            for d in &mut rep.diagnostics {
+                if d.code == "counterexample" {
+                    let map = srcmap.get_or_insert_with(|| SourceMap::for_krate(krate));
+                    locate_bindings(d, map);
                 }
-                rep.time = t0.elapsed();
-                rep.phases = phases;
-                out.push((*slot, rep));
-                continue;
             }
+            rep.time = t0.elapsed();
+            rep.phases = phases;
+            return (rep, Vec::new());
         }
-        stats.cache_misses += 1;
-        let sess = match &mut sess {
-            Some(s) => {
-                stats.ctx_reencodes_avoided += 1;
-                s
-            }
-            none => {
-                stats.sessions_opened += 1;
-                none.insert(ModuleSession::open(krate, group.module, cfg, &mut phases))
-            }
-        };
-        let rep = sess.verify(krate, fname, &wp, cfg, t0, phases);
-        if let (Some(dir), Some(fp)) = (&cfg.cache_dir, &fp) {
-            cache::store(dir, fp, &rep);
-        }
-        out.push((*slot, rep));
     }
-    let axiomed = sess.map(|s| s.axiomed).unwrap_or_default();
-    (out, stats, axiomed)
+    stats.cache_misses += 1;
+    let mut opened = false;
+    let wait = Instant::now();
+    let base = group.base.get_or_init(|| {
+        opened = true;
+        ModuleSession::open(krate, group.module, cfg, &mut phases)
+    });
+    // A worker that found another building the base waited for it; the
+    // wait is not this function's work, so its clock starts afterwards.
+    let t0 = if opened {
+        stats.sessions_opened += 1;
+        t0
+    } else {
+        stats.ctx_reencodes_avoided += 1;
+        t0 + wait.elapsed()
+    };
+    let (rep, axiomed) = base.verify(krate, fname, &wp, cfg, t0, phases);
+    if let (Some(dir), Some(fp)) = (&cfg.cache_dir, &fp) {
+        cache::store(dir, fp, &rep);
+    }
+    (rep, axiomed)
 }
 
 /// Verify all non-trusted functions with bodies, optionally in parallel
 /// (the paper's Fig 9 reports both 1-core and 8-core wall times).
 ///
-/// Functions are grouped into per-module solver sessions (the context is
-/// encoded once per module, not once per function), sessions are scheduled
-/// longest-first across workers (by prior meter totals when
-/// [`VcConfig::module_weights`] is set, function count otherwise), and —
-/// when [`VcConfig::cache_dir`] is set — unchanged functions are answered
-/// from the content-addressed result cache without touching a solver.
-/// Report order is the original crate order regardless of schedule.
+/// The unit of work is one function. Each module's shared context is
+/// encoded once, into a base session that the first worker to miss in the
+/// module builds; every function then runs on its own clone of that base.
+/// The work list takes modules longest-first (by prior meter totals when
+/// [`VcConfig::module_weights`] is set, function count otherwise) and each
+/// module's functions in crate order; workers — the calling thread and
+/// `min(threads, functions) - 1` spawned ones — take the next function
+/// from it. When [`VcConfig::cache_dir`] is set, unchanged functions are
+/// answered from the content-addressed result cache without touching a
+/// solver. Report order is the original crate order regardless of schedule,
+/// and every deterministic quantity is independent of `threads`.
 pub fn verify_krate(krate: &Krate, cfg: &VcConfig, threads: usize) -> KrateReport {
     let t0 = Instant::now();
     // Pre-solver static analysis gates the run: a function with
@@ -865,43 +867,66 @@ pub fn verify_krate(krate: &Krate, cfg: &VcConfig, threads: usize) -> KrateRepor
             module,
             fns,
             weight,
+            context: OnceLock::new(),
+            base: OnceLock::new(),
         });
     }
-    // Longest-processing-time-first: heaviest sessions start earliest so no
+    // Longest-processing-time-first: heaviest modules start earliest so no
     // worker is left holding the one big module at the end. Stable sort
     // keeps equal-weight groups in crate order — the schedule (and with
     // threads=1 the execution order) is deterministic.
     groups.sort_by_key(|g| std::cmp::Reverse(g.weight));
-    let mut reports: Vec<Option<FnReport>> = vec![None; slot];
-    let mut sessions = SessionStats::new();
-    let mut axiom_sets: Vec<HashSet<String>> = Vec::new();
-    // Each worker pulls the next unclaimed group. With one thread the loop
-    // runs inline, without spawning.
+    let work: Vec<(usize, usize)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, group)| (0..group.fns.len()).map(move |i| (g, i)))
+        .collect();
+    // Each worker takes the next unclaimed function.
     let next = AtomicUsize::new(0);
-    let work = || {
-        let mut out = Vec::new();
-        while let Some(g) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
-            out.push(run_module_group(krate, g, cfg, &lint));
+    let worker = || {
+        let mut reports = Vec::new();
+        let mut stats = SessionStats::new();
+        let mut axiomed = Vec::new();
+        let mut srcmap = None;
+        while let Some(&(g, i)) = work.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let (slot, fname) = &groups[g].fns[i];
+            let (rep, fns) = run_function(
+                krate,
+                &groups[g],
+                fname,
+                cfg,
+                &lint,
+                &mut stats,
+                &mut srcmap,
+            );
+            reports.push((*slot, rep));
+            axiomed.push((g, fns));
         }
-        out
+        (reports, stats, axiomed)
     };
-    let results = if threads <= 1 {
-        work()
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+    let helpers = threads.min(work.len()).saturating_sub(1);
+    let results = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(worker)).collect();
+        let mut results = vec![worker()];
+        results.extend(
             handles
                 .into_iter()
-                .flat_map(|h| h.join().expect("verification worker panicked"))
-                .collect()
-        })
-    };
+                .map(|h| h.join().expect("verification worker panicked")),
+        );
+        results
+    });
+    let mut reports: Vec<Option<FnReport>> = vec![None; slot];
+    let mut sessions = SessionStats::new();
+    // One set per module: the union of what its clones axiomatized.
+    let mut axiom_sets: Vec<HashSet<String>> = vec![HashSet::new(); groups.len()];
     for (reps, stats, axiomed) in results {
         for (i, r) in reps {
             reports[i] = Some(r);
         }
         sessions = sessions.add(&stats);
-        axiom_sets.push(axiomed);
+        for (g, fns) in axiomed {
+            axiom_sets[g].extend(fns);
+        }
     }
     // Lint-gated slots: `Failed` with the findings, no solver constructed.
     for (i, rep) in gated {
