@@ -44,13 +44,9 @@ fn snap(c: [u64; 9]) -> MeterSnapshot {
 #[test]
 fn memory_ops_meters_are_pinned() {
     let pins = [
-        (4, [92, 24_810, 41_064, 10_937, 13, 6, 2, 81, 0], 77_005),
-        (16, [40, 17_160, 27_094, 7_381, 56, 30, 2, 237, 0], 52_000),
-        (
-            40,
-            [64, 50_793, 74_470, 19_368, 128, 54, 2, 549, 0],
-            145_428,
-        ),
+        (4, [81, 19_521, 33_913, 6_318, 13, 2, 2, 81, 0], 59_931),
+        (16, [17, 8_720, 15_067, 3_720, 40, 10, 2, 237, 0], 27_813),
+        (40, [17, 19_832, 33_643, 8_184, 88, 10, 2, 549, 0], 62_325),
     ];
     for (pushes, counters, total) in pins {
         let (status, meter) = run(&memory_reasoning_krate(pushes), "memory_ops");
@@ -68,9 +64,6 @@ fn broken_list_index_meters_are_pinned() {
         status,
         Status::Unknown("instantiation rounds exhausted".into())
     );
-    assert_eq!(
-        meter,
-        snap([166, 22_457, 30_756, 10_150, 106, 77, 9, 67, 0])
-    );
-    assert_eq!(meter.total(), 63_788);
+    assert_eq!(meter, snap([95, 8_026, 12_224, 3_455, 92, 46, 9, 63, 0]));
+    assert_eq!(meter.total(), 24_010);
 }

@@ -13,6 +13,8 @@
 //! - [`bv`] — bit-vector reasoning by bit-blasting (backs `by(bit_vector)`);
 //! - [`quant`] — trigger inference (minimal vs broad policies) and
 //!   e-matching;
+//! - `relevancy` — the Tseitin gate table and the walk that picks the
+//!   atoms the theories see at a final check;
 //! - [`solver`] — the DPLL(T) orchestrator with round-based quantifier
 //!   instantiation and an EPR saturation mode;
 //! - [`printer`] — SMT-LIB rendering, used for the query-size metric.
@@ -43,6 +45,7 @@ pub mod fxhash;
 pub mod lia;
 pub mod printer;
 pub mod quant;
+mod relevancy;
 pub mod sat;
 pub mod solver;
 pub mod term;

@@ -6,9 +6,8 @@
 //! backtracks to level 0 first), and the caller supplies a *final-check*
 //! callback invoked on every full assignment; the callback either accepts
 //! the model or returns a conflict clause, which is learnt like a Boolean
-//! conflict (backjump, then keep searching). A callback that keeps state
-//! per trail literal asks [`SatSolver::stable_prefix`] how much of the
-//! trail survived since its previous call.
+//! conflict (backjump, then keep searching). The callback reads the
+//! assignment through [`SatSolver::value`] and [`SatSolver::trail`].
 //!
 //! When a [`ResourceMeter`] is attached, the search charges conflicts,
 //! decisions, and propagations to it, and aborts with `Unknown` once the
@@ -67,7 +66,7 @@ pub enum LBool {
 }
 
 impl LBool {
-    fn from_bool(b: bool) -> LBool {
+    pub(crate) fn from_bool(b: bool) -> LBool {
         if b {
             LBool::True
         } else {
@@ -117,9 +116,6 @@ pub struct SatSolver {
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
-    /// Lowest trail length since the final-check callback last returned:
-    /// `trail[..trail_low]` is unchanged since then.
-    trail_low: usize,
     activity: Vec<f64>,
     var_inc: f64,
     /// Binary heap order is approximated with a simple scan + cache; for our
@@ -158,7 +154,6 @@ impl SatSolver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
-            trail_low: 0,
             activity: Vec::new(),
             var_inc: 1.0,
             heap: Vec::new(),
@@ -215,12 +210,6 @@ impl SatSolver {
     /// The assignment stack, in assignment order.
     pub fn trail(&self) -> &[Lit] {
         &self.trail
-    }
-
-    /// Length of the trail prefix that is unchanged since the final-check
-    /// callback last returned (0 before the first call and after a `pop`).
-    pub fn stable_prefix(&self) -> usize {
-        self.trail_low
     }
 
     /// Add a clause. May be called between (or during, via final check)
@@ -455,7 +444,6 @@ impl SatSolver {
         self.trail.truncate(target);
         self.trail_lim.truncate(level as usize);
         self.qhead = self.trail.len();
-        self.trail_low = self.trail_low.min(target);
     }
 
     fn pick_branch(&mut self) -> Option<Lit> {
@@ -653,9 +641,7 @@ impl SatSolver {
                 match self.pick_branch() {
                     None => {
                         // Full assignment: ask the theories.
-                        let verdict = final_check(self);
-                        self.trail_low = self.trail.len();
-                        match verdict {
+                        match final_check(self) {
                             FinalCheck::Consistent => return SatResult::Sat,
                             FinalCheck::Conflict(clause) => {
                                 debug_assert!(

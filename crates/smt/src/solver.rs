@@ -19,6 +19,7 @@ use crate::lia::{Col, LVar, Lia, LiaLimit, LiaMark, LiaOutcome, Overflow};
 use crate::quant::{
     enumerate_matches, infer_triggers, pattern_head, ClassIndex, PatternHead, TriggerPolicy,
 };
+use crate::relevancy::{Marks, Relevancy};
 use crate::sat::{FinalCheck, LBool, Lit, SatResult, SatSolver};
 use crate::term::{Quant, Sort, SortId, TermId, TermKind, TermStore};
 
@@ -119,6 +120,9 @@ pub struct Solver {
     lit_true: Lit,
     /// Tseitin cache over formula terms.
     tseitin: HashMap<TermId, Lit>,
+    /// Gates, roots and gated literals of the encoding: what a final check
+    /// walks to find the atoms the theories must see.
+    relevancy: Relevancy,
     /// Theory atoms: term -> positive literal.
     lit_of_atom: HashMap<TermId, Lit>,
     atoms: Vec<(TermId, Lit)>,
@@ -182,6 +186,7 @@ impl Solver {
             sat,
             lit_true,
             tseitin: HashMap::default(),
+            relevancy: Relevancy::default(),
             lit_of_atom: HashMap::default(),
             atoms: Vec::new(),
             quants: Vec::new(),
@@ -243,6 +248,8 @@ impl Solver {
         let lit = self.encode_formula(t, false);
         let sel = self.fresh_lit();
         self.sat.add_clause(vec![sel.negate(), lit]);
+        self.relevancy.root(sel);
+        self.relevancy.gate(sel, lit);
         self.hypotheses.push((label.to_owned(), sel));
         self.drain_queue();
     }
@@ -264,6 +271,7 @@ impl Solver {
         while let Some((f, from_axiom)) = self.queue.pop() {
             let lit = self.encode_formula(f, from_axiom);
             self.sat.add_clause(vec![lit]);
+            self.relevancy.root(lit);
         }
     }
 
@@ -470,6 +478,7 @@ impl Solver {
                     big.push(l.negate());
                 }
                 self.sat.add_clause(big);
+                self.relevancy.and(o, &lits);
                 o
             }
             TermKind::Or(parts) => {
@@ -481,6 +490,7 @@ impl Solver {
                     big.push(l);
                 }
                 self.sat.add_clause(big);
+                self.relevancy.or(o, &lits);
                 o
             }
             TermKind::Implies(a, b) => {
@@ -490,6 +500,7 @@ impl Solver {
                 self.sat.add_clause(vec![o.negate(), la.negate(), lb]);
                 self.sat.add_clause(vec![o, la]);
                 self.sat.add_clause(vec![o, lb.negate()]);
+                self.relevancy.implies(o, la, lb);
                 o
             }
             TermKind::Eq(a, b) if self.store.sort_of(a) == self.store.bool_sort() => {
@@ -500,6 +511,7 @@ impl Solver {
                 self.sat.add_clause(vec![o.negate(), la, lb.negate()]);
                 self.sat.add_clause(vec![o, la, lb]);
                 self.sat.add_clause(vec![o, la.negate(), lb.negate()]);
+                self.relevancy.iff(o, la, lb);
                 o
             }
             TermKind::Quantifier(ref q) => {
@@ -701,12 +713,13 @@ impl Solver {
             let outcome = {
                 let store = &self.store;
                 let atoms = &self.atoms;
+                let relevancy = &self.relevancy;
                 let stats = &mut self.stats;
                 let sat = &mut self.sat;
                 let theory = &mut theory;
                 sat.solve_with_assumptions(&assumptions, |satref| {
                     stats.final_checks += 1;
-                    match theory.final_check(store, atoms, satref) {
+                    match theory.final_check(store, atoms, relevancy, satref) {
                         TheoryVerdict::Consistent(model) => {
                             last_model = Some(model);
                             FinalCheck::Consistent
@@ -752,7 +765,7 @@ impl Solver {
                             "theory budget exceeded (lia: {limit})"
                         ));
                     }
-                    let added = self.instantiate_round() + self.combination_round();
+                    let added = self.instantiate_round(&theory.relevant) + self.combination_round();
                     // Exhaustion during instantiation can cut a round short;
                     // a zero count then must not be read as saturation.
                     if let Some(m) = &self.meter {
@@ -813,19 +826,21 @@ impl Solver {
     }
 
     /// One instantiation round; returns the number of new instances.
-    fn instantiate_round(&mut self) -> usize {
+    /// `relevant` holds the marks of the final check that accepted the
+    /// current model.
+    fn instantiate_round(&mut self, relevant: &Marks) -> usize {
         if let Some(m) = &self.meter {
             m.charge(Counter::EmatchRounds, 1);
         }
-        // E-matching works modulo the equivalence classes of the equality
-        // atoms true in the current model (poor man's e-graph), built fresh
-        // each round in atom order. EPR saturation enumerates the ground
-        // universe and never reads the index.
+        // E-matching works modulo the equivalence classes of the relevant
+        // equality atoms true in the current model (poor man's e-graph),
+        // built fresh each round in atom order. EPR saturation enumerates
+        // the ground universe and never reads the index.
         let epr = self.config.epr_mode;
         let classes = if epr {
             ClassIndex::new()
         } else {
-            self.current_classes()
+            self.current_classes(relevant)
         };
         let limit = MAX_INSTANCES_PER_ROUND;
         let mut new_instances: Vec<PendingInstance> = Vec::new();
@@ -892,17 +907,19 @@ impl Solver {
                 self.term_gen.entry(TermId(id)).or_insert(bgen + 1);
             }
             self.sat.add_clause(vec![proxy.negate(), l]);
+            self.relevancy.gate(proxy, l);
         }
         n
     }
 
-    /// The class index over the equality atoms true in the current boolean
-    /// model, unioned in atom order (matching depends on the resulting
-    /// parent links and member order, so the order is part of the result).
-    fn current_classes(&self) -> ClassIndex {
+    /// The class index over the relevant equality atoms true in the
+    /// current boolean model, unioned in atom order (matching depends on
+    /// the resulting parent links and member order, so the order is part
+    /// of the result). These are exactly the equalities EUF was given.
+    fn current_classes(&self, relevant: &Marks) -> ClassIndex {
         let mut classes = ClassIndex::new();
         for &(t, lit) in &self.atoms {
-            if self.sat.value(lit) == LBool::True {
+            if self.sat.value(lit) == LBool::True && relevant.is_relevant(lit.var()) {
                 if let TermKind::Eq(a, b) = self.store.kind(t) {
                     classes.union(*a, *b);
                 }
@@ -1284,7 +1301,7 @@ enum TagReason {
     Shared(NodeId, NodeId),
 }
 
-/// Theory state before one trail literal was asserted.
+/// Theory state before one relevant atom literal was asserted.
 #[derive(Clone, Copy)]
 struct TheoryMark {
     euf: EufMark,
@@ -1292,13 +1309,25 @@ struct TheoryMark {
     tags: usize,
 }
 
-/// EUF and LIA for one [`Solver::check`] call, kept in step with the SAT
-/// trail. Nodes, LIA columns and atom rows are created at the base state,
-/// with nothing asserted, and never undone; a final check undoes the
-/// theories only to where the trail changed since the previous one and
-/// asserts the atoms of the trail suffix, in trail order. New atoms appear
-/// only between rounds: the state is undone to the base, they are
-/// registered, and the next check re-asserts the trail.
+/// EUF and LIA for one [`Solver::check`] call, kept in step with the
+/// relevant part of the SAT trail. Nodes, LIA columns and atom rows are
+/// created at the base state, with nothing asserted, and never undone.
+///
+/// A final check marks relevance from the roots under the full assignment
+/// (see [`Relevancy`]) and lists the relevant atom literals in trail order.
+/// Only those reach EUF and LIA: an atom that no asserted formula needs
+/// under the assignment (a conjunct under a disjunct that is already true,
+/// say) is decided by the SAT core but never asserted, so it can neither
+/// cause a theory conflict nor cost a merge. The check undoes the theories
+/// to the common prefix of this list and the previous check's, and asserts
+/// the rest in order. Decisions, the e-matching ground index and the set of
+/// instantiated proxies do not look at relevance; e-matching's class index
+/// ([`Solver::current_classes`]) unions exactly the equalities EUF saw.
+/// `Unsat` stays sound, since every learnt clause is still a theory lemma
+/// or an instance; a relevance mark that wrongly drops an atom can only
+/// let a bad model through to `validate_model`, which then answers
+/// `Unknown`. New atoms appear only between rounds: the state is undone to
+/// the base, they are registered, and the next check re-asserts the list.
 struct Theory {
     euf: Euf,
     lia: Lia,
@@ -1329,10 +1358,14 @@ struct Theory {
     /// Prefix of the solver's atom list registered so far.
     registered: usize,
     tags: Vec<TagReason>,
-    /// (trail index of an asserted atom literal, state before it).
+    /// Relevance marks of the last final check.
+    relevant: Marks,
+    /// The relevant atom literals of the last final check, in trail order.
+    lits: Vec<Lit>,
+    /// (index in `lits` of an asserted literal, state before it).
     points: Vec<(usize, TheoryMark)>,
     base: TheoryMark,
-    /// Trail prefix the theory state reflects.
+    /// Prefix of `lits` the theory state reflects.
     synced: usize,
     meter: Option<Arc<ResourceMeter>>,
 }
@@ -1374,6 +1407,8 @@ impl Theory {
             atom_of_var: Vec::new(),
             registered: 0,
             tags: Vec::new(),
+            relevant: Marks::default(),
+            lits: Vec::new(),
             points: Vec::new(),
             base,
             synced: 0,
@@ -1395,7 +1430,7 @@ impl Theory {
         self.tags.truncate(m.tags);
     }
 
-    /// Undo every atom asserted from trail index `pos` on.
+    /// Undo every literal asserted from `lits[pos]` on.
     fn undo_to(&mut self, pos: usize) {
         let mut target = None;
         while let Some(&(i, m)) = self.points.last() {
@@ -1648,7 +1683,7 @@ impl Theory {
         Ok(())
     }
 
-    /// Assert one trail literal of a registered atom.
+    /// Assert one literal of a registered atom.
     fn assert_atom(&mut self, store: &TermStore, atom: u32, lit: Lit) -> Result<(), TheoryVerdict> {
         let (shape, pos) = self.shapes[atom as usize];
         let val = lit == pos;
@@ -1719,13 +1754,22 @@ impl Theory {
         Ok(())
     }
 
-    /// Check the full assignment on `sat`'s trail. An `Unknown` (overflow,
-    /// exhausted meter or branch budget) ends the `check` call, so a state
-    /// an overflow left inconsistent is never used again.
+    fn atom_of(&self, lit: Lit) -> Option<u32> {
+        self.atom_of_var
+            .get(lit.var().0 as usize)
+            .copied()
+            .flatten()
+    }
+
+    /// Check the relevant part of the full assignment on `sat`'s trail. An
+    /// `Unknown` (overflow, exhausted meter or branch budget) ends the
+    /// `check` call, so a state an overflow left inconsistent is never used
+    /// again.
     fn final_check(
         &mut self,
         store: &TermStore,
         atoms: &[(TermId, Lit)],
+        relevancy: &Relevancy,
         sat: &SatSolver,
     ) -> TheoryVerdict {
         if self.registered < atoms.len() {
@@ -1733,17 +1777,23 @@ impl Theory {
                 return v;
             }
         }
-        let trail = sat.trail();
-        self.undo_to(sat.stable_prefix());
-        for (i, &lit) in trail.iter().enumerate().skip(self.synced) {
-            let Some(atom) = self
-                .atom_of_var
-                .get(lit.var().0 as usize)
-                .copied()
-                .flatten()
-            else {
-                continue;
-            };
+        relevancy.mark(sat, &mut self.relevant);
+        let lits: Vec<Lit> = sat
+            .trail()
+            .iter()
+            .copied()
+            .filter(|&l| self.relevant.is_relevant(l.var()) && self.atom_of(l).is_some())
+            .collect();
+        let common = self.lits[..self.synced]
+            .iter()
+            .zip(&lits)
+            .take_while(|(a, b)| a == b)
+            .count();
+        self.undo_to(common);
+        self.lits = lits;
+        for i in common..self.lits.len() {
+            let lit = self.lits[i];
+            let atom = self.atom_of(lit).expect("listed literals are atoms");
             self.points.push((i, self.mark()));
             if let Err(v) = self.assert_atom(store, atom, lit) {
                 // Leave the state as it was before this literal, so a
@@ -1753,7 +1803,7 @@ impl Theory {
                 return v;
             }
         }
-        self.synced = trail.len();
+        self.synced = self.lits.len();
         if let Err(c) = self.euf.check_diseqs() {
             return TheoryVerdict::Conflict(self.clause(c.lits));
         }

@@ -722,6 +722,36 @@ fn ground_counterexample_is_validated() {
 }
 
 #[test]
+fn irrelevant_atoms_never_reach_the_theories() {
+    // p ∧ (p ∨ (x ≤ 0 ∧ 1 ≤ x)): p alone satisfies the disjunction, so the
+    // contradictory conjunction is irrelevant. The SAT core still decides
+    // its atoms, but LIA never sees them, so no theory conflict arises —
+    // whether the formulas are asserted as units or behind selectors.
+    for labeled in [false, true] {
+        let mut s = solver();
+        let int = s.store.int_sort();
+        let p = s.store.mk_var("p", s.store.bool_sort());
+        let x = s.store.mk_var("x", int);
+        let zero = s.store.mk_int(0);
+        let one = s.store.mk_int(1);
+        let lo = s.store.mk_le(x, zero);
+        let hi = s.store.mk_le(one, x);
+        let both = s.store.mk_and(vec![lo, hi]);
+        let disj = s.store.mk_or(vec![p, both]);
+        if labeled {
+            s.assert_labeled(p, "p");
+            s.assert_labeled(disj, "disj");
+        } else {
+            s.assert(p);
+            s.assert(disj);
+        }
+        let m = assert_sat(&mut s);
+        assert!(m.validated, "labeled = {labeled}");
+        assert_eq!(s.stats.conflicts, 0, "labeled = {labeled}");
+    }
+}
+
+#[test]
 fn nonlinear_bogus_model_never_validated() {
     // x * x = -1 has no integer solution; simplex treats the product as
     // opaque, so the SAT/theory stack may accept it — validation must

@@ -9,7 +9,9 @@
 //! - Random ground EUF+LIA formulas are checked against enumeration over a
 //!   small domain: an `Unsat` must have no small-domain model, a `Sat`
 //!   model must satisfy every formula, and every unsat core must be unsat
-//!   on its own.
+//!   on its own. One generator makes mostly unit clauses; a second makes
+//!   mostly 2–3-literal clauses, where one true literal satisfies a clause
+//!   and the atoms of the others are irrelevant and never reach EUF or LIA.
 //!
 //! - EUF `mark`/`undo` and simplex bound undo are compared with a fresh
 //!   replay of the operations they keep.
@@ -286,14 +288,29 @@ fn count_apps(e: &E) -> usize {
     }
 }
 
-fn gen_formula(rng: &mut Rng) -> Vec<Clause> {
+/// Clause lengths of a generated ground formula.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// Three in four clauses are units: most atoms are asserted outright.
+    Units,
+    /// Nine in ten clauses have 2 or 3 literals, so many atoms are
+    /// irrelevant under a model: their clause is already satisfied.
+    Wide,
+}
+
+fn gen_formula(rng: &mut Rng, shape: Shape) -> Vec<Clause> {
     // Keep the number of applications small: the enumeration branches over
     // the domain once per distinct application value.
     loop {
         let nclauses = rng.range(4, 9) as usize;
         let clauses: Vec<Clause> = (0..nclauses)
             .map(|_| {
-                let len = if rng.chance(75) { 1 } else { 2 };
+                let len = match shape {
+                    Shape::Units if rng.chance(75) => 1,
+                    Shape::Units => 2,
+                    Shape::Wide if rng.chance(10) => 1,
+                    Shape::Wide => rng.range(2, 3),
+                };
                 (0..len)
                     .map(|_| {
                         let rel = match rng.range(0, 3) {
@@ -591,13 +608,18 @@ fn check_model(
     }
 }
 
-/// Check one seed; returns false when the solver answered `Unknown`,
-/// which is incomplete but not wrong.
-fn check_theory_seed(seed: u64) -> bool {
-    let mut rng = Rng::new(seed ^ 0x7e0_0000);
-    let clauses = gen_formula(&mut rng);
+/// Check one seed; returns false when the solver answered `Unknown` for a
+/// theory limit, which is incomplete but not wrong. A model that fails the
+/// solver's own validation is a wrong theory answer and fails the seed.
+fn check_theory_seed(seed: u64, shape: Shape) -> bool {
+    let salt = match shape {
+        Shape::Units => 0x7e0_0000,
+        Shape::Wide => 0x3a1_0000,
+    };
+    let mut rng = Rng::new(seed ^ salt);
+    let clauses = gen_formula(&mut rng, shape);
     let all: Vec<usize> = (0..clauses.len()).collect();
-    let ctx = format!("seed {seed}: {clauses:?}");
+    let ctx = format!("{shape:?} seed {seed}: {clauses:?}");
     let (mut s, b) = solver_for(&clauses, &all);
     let refs: Vec<&Clause> = clauses.iter().collect();
     match s.check() {
@@ -622,26 +644,42 @@ fn check_theory_seed(seed: u64) -> bool {
                 "{ctx}: core {core:?} is not unsat on its own"
             );
         }
-        SmtResult::Sat(model) => check_model(&mut s, &b, &clauses, &model.ints, &ctx),
-        SmtResult::Unknown(_) => return false,
+        SmtResult::Sat(model) => {
+            assert!(model.validated, "{ctx}: ground model not validated");
+            check_model(&mut s, &b, &clauses, &model.ints, &ctx)
+        }
+        SmtResult::Unknown(msg) => {
+            assert!(
+                msg.starts_with("theory budget exceeded"),
+                "{ctx}: Unknown({msg})"
+            );
+            return false;
+        }
     }
     true
 }
 
 /// Run the ground generator over `seeds`. Branch-and-bound may give up on
 /// an unbounded integer problem, so a few `Unknown`s are tolerated.
-fn run_theory(seeds: std::ops::Range<u64>) {
+fn run_theory(seeds: std::ops::Range<u64>, shape: Shape) {
     let total = seeds.end - seeds.start;
-    let unknown = seeds.filter(|&seed| !check_theory_seed(seed)).count() as u64;
+    let unknown = seeds
+        .filter(|&seed| !check_theory_seed(seed, shape))
+        .count() as u64;
     assert!(
         unknown * 100 <= total,
-        "{unknown} of {total} tiny ground formulas ended Unknown"
+        "{unknown} of {total} tiny {shape:?} ground formulas ended Unknown"
     );
 }
 
 #[test]
 fn random_euf_lia_matches_enumeration() {
-    run_theory(0..600);
+    run_theory(0..600, Shape::Units);
+}
+
+#[test]
+fn random_wide_clauses_match_enumeration() {
+    run_theory(0..600, Shape::Wide);
 }
 
 // ----------------------------------------------------------------------
@@ -843,7 +881,8 @@ fn simplex_bound_undo_matches_fresh_tableau() {
 #[ignore]
 fn soak_more_seeds() {
     run_cnf(400..20_000);
-    run_theory(600..20_000);
+    run_theory(600..20_000, Shape::Units);
+    run_theory(600..20_000, Shape::Wide);
     for seed in 300..20_000 {
         check_euf_undo_seed(seed);
         check_lia_undo_seed(seed);

@@ -49,7 +49,9 @@ use crate::wp::WpResult;
 /// part (config, visible modules' names, flags, imports and axioms, every
 /// spec function and datatype of the krate) plus the function's name, lint
 /// component and WP output — instead of every visible module in full.
-pub const CACHE_SCHEMA_VERSION: u32 = 9;
+/// v10: the theories see only the atoms relevancy marks at each final
+/// check, so the same inputs give different meter totals.
+pub const CACHE_SCHEMA_VERSION: u32 = 10;
 
 // ----------------------------------------------------------------------
 // Fingerprinting
