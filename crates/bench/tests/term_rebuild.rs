@@ -1,10 +1,11 @@
-//! `TermStore::rebuild` over a term's own children returns the term itself.
-//! The solver's ite-lifting pass relies on it: when no child of a term
-//! changed, it keeps the term instead of rebuilding it through the `mk_*`
-//! constructors. The property is checked on every term a real workload
-//! interns — the Fig 9 corpus and Fig 7b `memory_ops` at p = 4, each
-//! function encoded the way `verify_function` encodes it and then checked,
-//! so instantiated bodies and theory lemmas are covered too.
+//! `TermStore::rebuild` over a term's own children returns the term itself,
+//! and so does `TermStore::substitute` with an empty substitution. The
+//! solver's ite-lifting pass and `substitute` both rely on the first: when
+//! no child of a term changed, they keep the term instead of rebuilding it
+//! through the `mk_*` constructors. Both properties are checked on every
+//! term a real workload interns — the Fig 9 corpus and Fig 7b `memory_ops`
+//! at p = 4, each function encoded the way `verify_function` encodes it and
+//! then checked, so instantiated bodies and theory lemmas are covered too.
 
 use std::collections::HashMap;
 
@@ -23,8 +24,8 @@ use veris_vir::Krate;
 
 /// Encode and check every verifiable function of `krate` on a fresh
 /// solver (Verus style: no goal wrapping, no style noise), then assert
-/// `rebuild(t, children(t)) == t` for every term in the store. Returns the
-/// number of terms checked.
+/// `rebuild(t, children(t)) == t` and `substitute(t, &[]) == t` for every
+/// term in the store. Returns the number of terms checked.
 fn assert_rebuild_is_identity(system: &str, krate: &Krate) -> usize {
     let cfg = VcConfig::with_style(Style::Verus).with_rlimit(BASELINE_RLIMIT);
     let empty = HashMap::new();
@@ -76,6 +77,15 @@ fn assert_rebuild_is_identity(system: &str, krate: &Krate) -> usize {
                     f.name,
                     s.store.display(t),
                     s.store.display(rebuilt)
+                );
+                let substituted = s.store.substitute(t, &[]);
+                assert_eq!(
+                    substituted,
+                    t,
+                    "{system}::{}: substituting nothing in {} gave {}",
+                    f.name,
+                    s.store.display(t),
+                    s.store.display(substituted)
                 );
             }
             checked += n;

@@ -28,6 +28,8 @@
 //! 4. [`spec_health`] — **spec-health lints**: possibly-vacuous `requires`
 //!    (cheap bounded evaluation via `vir::interp` over a small probe grid —
 //!    never a solver call) and trivially-true `ensures`.
+//! 5. [`callees`] — **undefined callees**: a call to a function the krate
+//!    does not define is an error that gates the whole krate.
 //!
 //! Two runtime lints from earlier layers — `unused-hypothesis` (unsat-core
 //! based) and `redundant-spec-axiom` (session bookkeeping) — are governed by
@@ -46,6 +48,7 @@
 //! runs and thread counts.
 
 pub mod alternation;
+pub mod callees;
 pub mod spec_health;
 pub mod termination;
 pub mod triggers;
@@ -87,6 +90,9 @@ pub mod ids {
     /// Runtime lint (PR 3): a spec function was axiomatized in more than
     /// one module session.
     pub const REDUNDANT_SPEC_AXIOM: &str = "redundant-spec-axiom";
+    /// A call names a function the krate does not define. Gates every
+    /// function of the krate and cannot be suppressed.
+    pub const UNKNOWN_CALLEE: &str = "unknown-callee";
 
     /// All IDs, for docs and validation.
     pub const ALL: &[&str] = &[
@@ -100,6 +106,7 @@ pub mod ids {
         TRIVIAL_ENSURES,
         UNUSED_HYPOTHESIS,
         REDUNDANT_SPEC_AXIOM,
+        UNKNOWN_CALLEE,
     ];
 }
 
@@ -107,8 +114,8 @@ pub mod ids {
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
     /// Findings that survived suppression, in pass order (trigger graph,
-    /// termination, alternation, spec health), module/function order within
-    /// a pass.
+    /// termination, alternation, spec health, callees), module/function
+    /// order within a pass.
     pub diagnostics: Vec<Diagnostic>,
     pub stats: LintStats,
 }
@@ -123,13 +130,17 @@ impl LintReport {
     }
 
     /// Error-severity findings that gate `fname` of `module`: those
-    /// attached to the function, plus the module-level ones (attached to
-    /// the module's name, such as an EPR axiom or sort-graph violation).
+    /// attached to the function, the module-level ones (attached to the
+    /// module's name, such as an EPR axiom or sort-graph violation), and
+    /// every [`ids::UNKNOWN_CALLEE`] finding of the krate.
     pub fn gate_errors(&self, module: &str, fname: &str) -> Vec<&Diagnostic> {
         self.diagnostics
             .iter()
             .filter(|d| {
-                d.severity == Severity::Error && (d.function == fname || d.function == module)
+                d.severity == Severity::Error
+                    && (d.function == fname
+                        || d.function == module
+                        || d.code == ids::UNKNOWN_CALLEE)
             })
             .collect()
     }
@@ -141,11 +152,13 @@ impl LintReport {
 
 /// Whether a finding is suppressed by an `allow` on the function it names.
 /// Module-level findings (the `function` field holds a module name) are
-/// never suppressible this way.
+/// never suppressible this way, nor is an undefined callee, which the VC
+/// layer cannot encode.
 fn suppressed(krate: &Krate, d: &Diagnostic) -> bool {
-    krate
-        .find_function(&d.function)
-        .is_some_and(|(_, f)| f.allows_lint(&d.code))
+    d.code != ids::UNKNOWN_CALLEE
+        && krate
+            .find_function(&d.function)
+            .is_some_and(|(_, f)| f.allows_lint(&d.code))
 }
 
 /// Run every pass over the krate, apply suppressions, and tally stats.
@@ -155,6 +168,7 @@ pub fn lint_krate(krate: &Krate) -> LintReport {
     raw.extend(termination::check(krate));
     raw.extend(alternation::check(krate));
     raw.extend(spec_health::check(krate));
+    raw.extend(callees::check(krate));
     let mut stats = LintStats::new();
     let mut diagnostics = Vec::new();
     for d in raw {

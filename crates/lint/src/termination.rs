@@ -139,7 +139,7 @@ fn check_measure_varies(
 
 /// All calls (name, args) made by a function body, including nested
 /// statement and expression positions.
-fn body_calls(body: &FnBody, out: &mut Vec<(String, Vec<Expr>)>) {
+pub(crate) fn body_calls(body: &FnBody, out: &mut Vec<(String, Vec<Expr>)>) {
     match body {
         FnBody::SpecExpr(e) => expr_calls(e, out),
         FnBody::Stmts(ss) => stmts_calls(ss, out),
@@ -147,7 +147,7 @@ fn body_calls(body: &FnBody, out: &mut Vec<(String, Vec<Expr>)>) {
     }
 }
 
-fn expr_calls(e: &Expr, out: &mut Vec<(String, Vec<Expr>)>) {
+pub(crate) fn expr_calls(e: &Expr, out: &mut Vec<(String, Vec<Expr>)>) {
     if let ExprX::Call(name, args, _) = &**e {
         out.push((name.clone(), args.clone()));
     }

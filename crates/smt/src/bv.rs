@@ -293,10 +293,6 @@ impl BvSolver {
                 self.vars.push(t);
                 (0..w).map(|_| self.fresh()).collect()
             }
-            TermKind::BvNot(a) => {
-                let a = self.encode_bits(store, a);
-                a.into_iter().map(|l| l.negate()).collect()
-            }
             TermKind::BvAnd(a, b) => self.bitwise(store, a, b, Self::gate_and),
             TermKind::BvOr(a, b) => self.bitwise(store, a, b, Self::gate_or),
             TermKind::BvXor(a, b) => self.bitwise(store, a, b, Self::gate_xor),

@@ -162,10 +162,6 @@ impl Euf {
         id
     }
 
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Mark `n` as shared with another theory: whenever the classes of two
     /// shared nodes merge, the pair is queued for [`Euf::take_shared_eqs`].
     /// One shared node per class is enough to tie every shared member of

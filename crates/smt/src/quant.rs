@@ -32,16 +32,7 @@ fn candidates_rec(
     out: &mut Vec<TermId>,
     seen: &mut HashSet<TermId>,
 ) {
-    let matchable = matches!(
-        store.kind(body),
-        TermKind::App(..)
-            | TermKind::DtSel(..)
-            | TermKind::DtCtor(..)
-            | TermKind::DtTest(..)
-            | TermKind::IntDiv(..)
-            | TermKind::IntMod(..)
-    );
-    if matchable && store.has_bound_var(body) && seen.insert(body) {
+    if pattern_head(store, body).is_some() && store.has_bound_var(body) && seen.insert(body) {
         out.push(body);
     }
     for c in store.children(body) {
@@ -290,6 +281,10 @@ pub fn match_pattern(
     false
 }
 
+/// One matching step at the root of a pattern that is not a bound
+/// variable: a matchable head matches a ground term with the same
+/// [`pattern_head`] child by child (each child modulo `classes`), and
+/// anything else must be the ground term itself.
 fn match_pattern_syntactic(
     store: &TermStore,
     classes: &ClassIndex,
@@ -297,61 +292,20 @@ fn match_pattern_syntactic(
     ground: TermId,
     binding: &mut Vec<(u32, TermId)>,
 ) -> bool {
-    match store.kind(pat) {
-        TermKind::Bound(_) => match_pattern(store, classes, pat, ground, binding),
-        TermKind::App(f, args) => match store.kind(ground) {
-            TermKind::App(g, gargs) if f == g && args.len() == gargs.len() => {
-                let (args, gargs) = (args.clone(), gargs.clone());
-                args.iter()
-                    .zip(gargs.iter())
-                    .all(|(&p, &g)| match_pattern(store, classes, p, g, binding))
-            }
-            _ => false,
-        },
-        TermKind::DtSel(dt, c, f, a) => match store.kind(ground) {
-            TermKind::DtSel(dt2, c2, f2, a2) if dt == dt2 && c == c2 && f == f2 => {
-                let (a, a2) = (*a, *a2);
-                match_pattern(store, classes, a, a2, binding)
-            }
-            _ => false,
-        },
-        TermKind::DtCtor(dt, c, args) => match store.kind(ground) {
-            TermKind::DtCtor(dt2, c2, gargs) if dt == dt2 && c == c2 => {
-                let (args, gargs) = (args.clone(), gargs.clone());
-                args.iter()
-                    .zip(gargs.iter())
-                    .all(|(&p, &g)| match_pattern(store, classes, p, g, binding))
-            }
-            _ => false,
-        },
-        TermKind::DtTest(dt, c, a) => match store.kind(ground) {
-            TermKind::DtTest(dt2, c2, a2) if dt == dt2 && c == c2 => {
-                let (a, a2) = (*a, *a2);
-                match_pattern(store, classes, a, a2, binding)
-            }
-            _ => false,
-        },
-        TermKind::IntDiv(a, b) => match store.kind(ground) {
-            TermKind::IntDiv(c, d) => {
-                let (a, b, c, d) = (*a, *b, *c, *d);
-                match_pattern(store, classes, a, c, binding)
-                    && match_pattern(store, classes, b, d, binding)
-            }
-            _ => false,
-        },
-        TermKind::IntMod(a, b) => match store.kind(ground) {
-            TermKind::IntMod(c, d) => {
-                let (a, b, c, d) = (*a, *b, *c, *d);
-                match_pattern(store, classes, a, c, binding)
-                    && match_pattern(store, classes, b, d, binding)
-            }
-            _ => false,
-        },
-        _ => pat == ground && !store.has_bound_var(pat),
+    match pattern_head(store, pat) {
+        Some(head) if pattern_head(store, ground) == Some(head) => store
+            .children(pat)
+            .into_iter()
+            .zip(store.children(ground))
+            .all(|(p, g)| match_pattern(store, classes, p, g, binding)),
+        Some(_) => false,
+        None => pat == ground && !store.has_bound_var(pat),
     }
 }
 
-/// The head function symbol of a pattern, used to index ground terms.
+/// The head function symbol of a pattern, used to index ground terms. The
+/// kinds listed here are the matchable ones: trigger inference takes its
+/// candidates from them and e-matching descends only through them.
 /// `Ord` so index traversals can be made deterministic (rlimit verdicts
 /// must not depend on hash iteration order).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]

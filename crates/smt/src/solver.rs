@@ -83,12 +83,6 @@ pub enum SmtResult {
     Unknown(String),
 }
 
-impl SmtResult {
-    pub fn is_unsat(&self) -> bool {
-        matches!(self, SmtResult::Unsat)
-    }
-}
-
 /// Cumulative statistics.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Stats {
@@ -383,21 +377,6 @@ impl Solver {
                     self.store.mk_not(t)
                 }
             }
-            TermKind::Distinct(parts) => {
-                let mut neqs = Vec::new();
-                for i in 0..parts.len() {
-                    for j in (i + 1)..parts.len() {
-                        let eq = self.store.mk_eq(parts[i], parts[j]);
-                        let ne = self.store.mk_not(eq);
-                        neqs.push(self.nnf(ne, pol, univs));
-                    }
-                }
-                if pol {
-                    self.store.mk_and(neqs)
-                } else {
-                    self.store.mk_or(neqs)
-                }
-            }
             TermKind::Quantifier(q) => {
                 let stays_universal = q.is_forall == pol;
                 if stays_universal {
@@ -574,8 +553,7 @@ impl Solver {
         self.registered.insert(t);
         match self.store.kind(t).clone() {
             TermKind::Quantifier(_) => return, // bodies register on instantiation
-            TermKind::BvNot(_)
-            | TermKind::BvAnd(..)
+            TermKind::BvAnd(..)
             | TermKind::BvOr(..)
             | TermKind::BvXor(..)
             | TermKind::BvAdd(..)
@@ -1114,21 +1092,6 @@ impl Solver {
             // when the operands are opaque (nonlinear, div-by-zero) the
             // assignment is precisely the unchecked claim.
             TermKind::Le0(lin) => self.eval_int(lin, model, bcache, icache).map(|v| v <= 0),
-            TermKind::Distinct(parts) => {
-                let vals: Vec<Option<i128>> = parts
-                    .iter()
-                    .map(|&p| self.eval_int(p, model, bcache, icache))
-                    .collect();
-                if vals.iter().all(|v| v.is_some()) {
-                    let vals: Vec<i128> = vals.into_iter().map(|v| v.unwrap()).collect();
-                    let mut uniq = vals.clone();
-                    uniq.sort_unstable();
-                    uniq.dedup();
-                    Some(uniq.len() == vals.len())
-                } else {
-                    None
-                }
-            }
             TermKind::Quantifier(_) => None,
             // Uninterpreted boolean atoms: the model's assignment is their
             // semantics (EUF already checked congruence consistency).

@@ -118,7 +118,6 @@ pub enum TermKind {
     Implies(TermId, TermId),
     /// Polymorphic equality; for Bool this is iff.
     Eq(TermId, TermId),
-    Distinct(Vec<TermId>),
     Ite(TermId, TermId, TermId),
     /// Linear normal form: `konst + sum(coeff * atom)`. Atoms are sorted by
     /// id, have nonzero coefficients, and are themselves non-Linear,
@@ -143,7 +142,6 @@ pub enum TermKind {
     /// Datatype tester: is `arg` built with constructor `ctor_idx`?
     DtTest(DatatypeId, u32, TermId),
     // Bit-vector operations (handled by bit-blasting).
-    BvNot(TermId),
     BvAnd(TermId, TermId),
     BvOr(TermId, TermId),
     BvXor(TermId, TermId),
@@ -281,19 +279,8 @@ impl TermStore {
         f
     }
 
-    pub fn lookup_fun(&self, name: &str) -> Option<FuncId> {
-        self.symbol_map
-            .get(name)
-            .and_then(|s| self.func_map.get(s))
-            .copied()
-    }
-
     pub fn func(&self, f: FuncId) -> &FuncDecl {
         &self.funcs[f.0 as usize]
-    }
-
-    pub fn num_funcs(&self) -> usize {
-        self.funcs.len()
     }
 
     pub fn declare_datatype(
@@ -550,19 +537,6 @@ impl TermStore {
         // syntactic variants, but keep the Eq node for EUF.
         let (a, b) = if a <= b { (a, b) } else { (b, a) };
         self.intern(TermKind::Eq(a, b), self.bool_sort())
-    }
-
-    pub fn mk_distinct(&mut self, mut parts: Vec<TermId>) -> TermId {
-        parts.sort_unstable();
-        parts.dedup_by(|a, b| a == b);
-        if parts.len() < 2 {
-            return self.mk_true();
-        }
-        if parts.len() == 2 {
-            let eq = self.mk_eq(parts[0], parts[1]);
-            return self.mk_not(eq);
-        }
-        self.intern(TermKind::Distinct(parts), self.bool_sort())
     }
 
     pub fn mk_ite(&mut self, c: TermId, t: TermId, e: TermId) -> TermId {
@@ -872,16 +846,6 @@ impl TermStore {
         self.intern(mk(a, b), sort)
     }
 
-    pub fn mk_bv_not(&mut self, a: TermId) -> TermId {
-        let w = self.bv_width(a);
-        if let TermKind::BvConst { value, .. } = self.kind(a) {
-            let v = !*value;
-            return self.mk_bv_const(w, v);
-        }
-        let sort = self.bv_sort(w);
-        self.intern(TermKind::BvNot(a), sort)
-    }
-
     pub fn mk_bv_and(&mut self, a: TermId, b: TermId) -> TermId {
         self.mk_bv_bin(a, b, TermKind::BvAnd, |x, y, _| x & y)
     }
@@ -968,11 +932,12 @@ impl TermStore {
     // Substitution & traversal
     // ------------------------------------------------------------------
 
-    /// Substitute bound variables `Bound(i)` (for `i < subst.len()`) with
-    /// the given ground terms. Used by quantifier instantiation; does not
-    /// descend into nested quantifier bodies' *own* binders (instantiation
-    /// shifts are avoided because nested quantifiers use disjoint indices —
-    /// the VC layer numbers binders globally per quantifier).
+    /// Replace each bound variable `Bound(i)` named in `subst` by its term.
+    /// Used by quantifier instantiation. Nested quantifiers are rewritten in
+    /// their body and triggers; their own binders never clash with the
+    /// substitution domain because the VC layer numbers binders globally.
+    /// Every other kind rewrites its [`Self::children`] and goes through
+    /// [`Self::rebuild`], or is returned as is when no child changed.
     pub fn substitute(&mut self, t: TermId, subst: &[(u32, TermId)]) -> TermId {
         let mut cache: HashMap<TermId, TermId> = HashMap::default();
         self.subst_rec(t, subst, &mut cache)
@@ -987,102 +952,19 @@ impl TermStore {
         if let Some(&r) = cache.get(&t) {
             return r;
         }
-        let kind = self.kind(t).clone();
-        let result = match kind {
+        let result = match self.kind(t) {
             TermKind::Bound(bv) => subst
                 .iter()
                 .find(|&&(i, _)| i == bv.index)
                 .map(|&(_, r)| r)
                 .unwrap_or(t),
-            TermKind::BoolConst(_)
-            | TermKind::IntConst(_)
-            | TermKind::BvConst { .. }
-            | TermKind::Var(..) => t,
-            TermKind::App(f, args) => {
-                let args = args
-                    .iter()
-                    .map(|&a| self.subst_rec(a, subst, cache))
-                    .collect();
-                self.mk_app(f, args)
-            }
-            TermKind::Not(a) => {
-                let a = self.subst_rec(a, subst, cache);
-                self.mk_not(a)
-            }
-            TermKind::And(parts) => {
-                let parts = parts
-                    .iter()
-                    .map(|&a| self.subst_rec(a, subst, cache))
-                    .collect();
-                self.mk_and(parts)
-            }
-            TermKind::Or(parts) => {
-                let parts = parts
-                    .iter()
-                    .map(|&a| self.subst_rec(a, subst, cache))
-                    .collect();
-                self.mk_or(parts)
-            }
-            TermKind::Implies(a, b) => {
-                let a = self.subst_rec(a, subst, cache);
-                let b = self.subst_rec(b, subst, cache);
-                self.mk_implies(a, b)
-            }
-            TermKind::Eq(a, b) => {
-                let a = self.subst_rec(a, subst, cache);
-                let b = self.subst_rec(b, subst, cache);
-                self.mk_eq(a, b)
-            }
-            TermKind::Distinct(parts) => {
-                let parts = parts
-                    .iter()
-                    .map(|&a| self.subst_rec(a, subst, cache))
-                    .collect();
-                self.mk_distinct(parts)
-            }
-            TermKind::Ite(c, a, b) => {
-                let c = self.subst_rec(c, subst, cache);
-                let a = self.subst_rec(a, subst, cache);
-                let b = self.subst_rec(b, subst, cache);
-                self.mk_ite(c, a, b)
-            }
-            TermKind::Linear { konst, monomials } => {
-                let mut parts = vec![self.mk_int(konst)];
-                for (c, a) in monomials {
-                    let a = self.subst_rec(a, subst, cache);
-                    let c = self.mk_int(c);
-                    parts.push(self.mk_mul(c, a));
-                }
-                self.mk_add(parts)
-            }
-            TermKind::NlMul(factors) => {
-                let mut acc = self.mk_int(1);
-                for f in factors {
-                    let f = self.subst_rec(f, subst, cache);
-                    acc = self.mk_mul(acc, f);
-                }
-                acc
-            }
-            TermKind::IntDiv(a, b) => {
-                let a = self.subst_rec(a, subst, cache);
-                let b = self.subst_rec(b, subst, cache);
-                self.mk_int_div(a, b)
-            }
-            TermKind::IntMod(a, b) => {
-                let a = self.subst_rec(a, subst, cache);
-                let b = self.subst_rec(b, subst, cache);
-                self.mk_int_mod(a, b)
-            }
-            TermKind::Le0(a) => {
-                let a = self.subst_rec(a, subst, cache);
-                let zero = self.mk_int(0);
-                self.mk_le(a, zero)
-            }
             TermKind::Quantifier(q) => {
+                let q = q.clone();
                 // Binders use indices disjoint from the substitution domain
-                // (global numbering); substitute in body and triggers.
+                // (global numbering); substitute in body and triggers, which
+                // `children` leaves out.
                 let body = self.subst_rec(q.body, subst, cache);
-                let triggers = q
+                let triggers: Vec<Vec<TermId>> = q
                     .triggers
                     .iter()
                     .map(|grp| {
@@ -1091,118 +973,34 @@ impl TermStore {
                             .collect()
                     })
                     .collect();
-                let qid_name = self.sym_name(q.qid).to_owned();
-                self.mk_quant(q.is_forall, q.vars.clone(), triggers, body, &qid_name)
+                if body == q.body && triggers == q.triggers {
+                    t
+                } else {
+                    let qid = self.sym_name(q.qid).to_owned();
+                    self.mk_quant(q.is_forall, q.vars, triggers, body, &qid)
+                }
             }
-            TermKind::DtCtor(dt, c, args) => {
-                let args = args
+            _ => {
+                let kids = self.children(t);
+                let new_kids: Vec<TermId> = kids
                     .iter()
-                    .map(|&a| self.subst_rec(a, subst, cache))
+                    .map(|&k| self.subst_rec(k, subst, cache))
                     .collect();
-                self.mk_dt_ctor(dt, c, args)
-            }
-            TermKind::DtSel(dt, c, f, a) => {
-                let a = self.subst_rec(a, subst, cache);
-                self.mk_dt_sel(dt, c, f, a)
-            }
-            TermKind::DtTest(dt, c, a) => {
-                let a = self.subst_rec(a, subst, cache);
-                self.mk_dt_test(dt, c, a)
-            }
-            TermKind::BvNot(a) => {
-                let a = self.subst_rec(a, subst, cache);
-                self.mk_bv_not(a)
-            }
-            TermKind::BvAnd(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_and(a, b)
-            }
-            TermKind::BvOr(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_or(a, b)
-            }
-            TermKind::BvXor(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_xor(a, b)
-            }
-            TermKind::BvAdd(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_add(a, b)
-            }
-            TermKind::BvSub(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_sub(a, b)
-            }
-            TermKind::BvMul(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_mul(a, b)
-            }
-            TermKind::BvUdiv(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_udiv(a, b)
-            }
-            TermKind::BvUrem(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_urem(a, b)
-            }
-            TermKind::BvShl(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_shl(a, b)
-            }
-            TermKind::BvLshr(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_lshr(a, b)
-            }
-            TermKind::BvUle(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_ule(a, b)
-            }
-            TermKind::BvUlt(a, b) => {
-                let (a, b) = (
-                    self.subst_rec(a, subst, cache),
-                    self.subst_rec(b, subst, cache),
-                );
-                self.mk_bv_ult(a, b)
+                if new_kids == kids {
+                    t
+                } else {
+                    self.rebuild(t, &new_kids)
+                }
             }
         };
         cache.insert(t, result);
         result
     }
 
-    /// Immediate children of a term (for generic traversals).
+    /// Immediate children of a term. With [`Self::rebuild`] and
+    /// [`crate::quant::pattern_head`], the one place that says what a term
+    /// kind looks like; every generic traversal goes through it. A
+    /// quantifier's only child is its body (its triggers are not children).
     pub fn children(&self, t: TermId) -> Vec<TermId> {
         match self.kind(t) {
             TermKind::BoolConst(_)
@@ -1210,11 +1008,8 @@ impl TermStore {
             | TermKind::BvConst { .. }
             | TermKind::Var(..)
             | TermKind::Bound(_) => vec![],
-            TermKind::App(_, args)
-            | TermKind::And(args)
-            | TermKind::Or(args)
-            | TermKind::Distinct(args) => args.clone(),
-            TermKind::Not(a) | TermKind::Le0(a) | TermKind::BvNot(a) => vec![*a],
+            TermKind::App(_, args) | TermKind::And(args) | TermKind::Or(args) => args.clone(),
+            TermKind::Not(a) | TermKind::Le0(a) => vec![*a],
             TermKind::Implies(a, b) | TermKind::Eq(a, b) => vec![*a, *b],
             TermKind::Ite(c, a, b) => vec![*c, *a, *b],
             TermKind::Linear { monomials, .. } => monomials.iter().map(|&(_, t)| t).collect(),
@@ -1239,13 +1034,13 @@ impl TermStore {
     }
 
     /// Rebuild a term with new children (in the order [`Self::children`]
-    /// returns them), re-running canonicalization. Used by generic rewriting
-    /// passes (ite-lifting, EPR abstraction, evaluation).
+    /// returns them), re-running canonicalization. Used by the rewriting
+    /// passes: ite-lifting and [`Self::substitute`].
     ///
     /// # Panics
     /// Panics if `kids.len()` differs from the term's child count.
     pub fn rebuild(&mut self, t: TermId, kids: &[TermId]) -> TermId {
-        match self.kind(t).clone() {
+        match self.kind(t) {
             TermKind::BoolConst(_)
             | TermKind::IntConst(_)
             | TermKind::BvConst { .. }
@@ -1254,20 +1049,19 @@ impl TermStore {
                 debug_assert!(kids.is_empty());
                 t
             }
-            TermKind::App(f, _) => self.mk_app(f, kids.to_vec()),
+            &TermKind::App(f, _) => self.mk_app(f, kids.to_vec()),
             TermKind::And(_) => self.mk_and(kids.to_vec()),
             TermKind::Or(_) => self.mk_or(kids.to_vec()),
-            TermKind::Distinct(_) => self.mk_distinct(kids.to_vec()),
             TermKind::Not(_) => self.mk_not(kids[0]),
             TermKind::Le0(_) => {
                 let zero = self.mk_int(0);
                 self.mk_le(kids[0], zero)
             }
-            TermKind::BvNot(_) => self.mk_bv_not(kids[0]),
             TermKind::Implies(..) => self.mk_implies(kids[0], kids[1]),
             TermKind::Eq(..) => self.mk_eq(kids[0], kids[1]),
             TermKind::Ite(..) => self.mk_ite(kids[0], kids[1], kids[2]),
             TermKind::Linear { konst, monomials } => {
+                let (konst, monomials) = (*konst, monomials.clone());
                 let mut parts = vec![self.mk_int(konst)];
                 for (i, (c, _)) in monomials.iter().enumerate() {
                     let coeff = self.mk_int(*c);
@@ -1286,18 +1080,13 @@ impl TermStore {
             TermKind::IntDiv(..) => self.mk_int_div(kids[0], kids[1]),
             TermKind::IntMod(..) => self.mk_int_mod(kids[0], kids[1]),
             TermKind::Quantifier(q) => {
+                let q = q.clone();
                 let qid = self.sym_name(q.qid).to_owned();
-                self.mk_quant(
-                    q.is_forall,
-                    q.vars.clone(),
-                    q.triggers.clone(),
-                    kids[0],
-                    &qid,
-                )
+                self.mk_quant(q.is_forall, q.vars, q.triggers, kids[0], &qid)
             }
-            TermKind::DtCtor(dt, c, _) => self.mk_dt_ctor(dt, c, kids.to_vec()),
-            TermKind::DtSel(dt, c, f, _) => self.mk_dt_sel(dt, c, f, kids[0]),
-            TermKind::DtTest(dt, c, _) => self.mk_dt_test(dt, c, kids[0]),
+            &TermKind::DtCtor(dt, c, _) => self.mk_dt_ctor(dt, c, kids.to_vec()),
+            &TermKind::DtSel(dt, c, f, _) => self.mk_dt_sel(dt, c, f, kids[0]),
+            &TermKind::DtTest(dt, c, _) => self.mk_dt_test(dt, c, kids[0]),
             TermKind::BvAnd(..) => self.mk_bv_and(kids[0], kids[1]),
             TermKind::BvOr(..) => self.mk_bv_or(kids[0], kids[1]),
             TermKind::BvXor(..) => self.mk_bv_xor(kids[0], kids[1]),
@@ -1374,7 +1163,6 @@ fn write_term(s: &TermStore, t: TermId, f: &mut fmt::Formatter<'_>) -> fmt::Resu
         TermKind::Or(parts) => write_nary(s, "or", parts, f),
         TermKind::Implies(a, b) => write_bin(s, "=>", *a, *b, f),
         TermKind::Eq(a, b) => write_bin(s, "=", *a, *b, f),
-        TermKind::Distinct(parts) => write_nary(s, "distinct", parts, f),
         TermKind::Ite(c, a, b) => {
             write!(f, "(ite ")?;
             write_term(s, *c, f)?;
@@ -1431,11 +1219,6 @@ fn write_term(s: &TermStore, t: TermId, f: &mut fmt::Formatter<'_>) -> fmt::Resu
         TermKind::DtTest(dt, c, a) => {
             let ctor = &s.datatype(*dt).constructors[*c as usize];
             write!(f, "(is-{} ", s.sym_name(ctor.name))?;
-            write_term(s, *a, f)?;
-            write!(f, ")")
-        }
-        TermKind::BvNot(a) => {
-            write!(f, "(bvnot ")?;
             write_term(s, *a, f)?;
             write!(f, ")")
         }
@@ -1642,5 +1425,30 @@ mod tests {
         let seven = s.mk_int(7);
         let inst = s.substitute(body, &[(0, seven)]);
         assert_eq!(inst, s.mk_int(8));
+    }
+
+    #[test]
+    fn substitute_rewrites_nested_quantifier_trigger_and_body() {
+        let mut s = TermStore::new();
+        let int = s.int_sort();
+        let f = s.declare_fun("f", vec![int, int], int);
+        let outer = s.mk_bound(0, int);
+        let j = s.fresh_bound_index();
+        let inner = s.mk_bound(j, int);
+        let zero = s.mk_int(0);
+        // forall j {f(?0, j)}. 0 <= f(?0, j), with ?0 bound further out.
+        let pat = s.mk_app(f, vec![outer, inner]);
+        let body = s.mk_le(zero, pat);
+        let q = s.mk_forall(vec![(j, int)], vec![vec![pat]], body, "nested");
+        let seven = s.mk_int(7);
+        let inst = s.substitute(q, &[(0, seven)]);
+        let TermKind::Quantifier(iq) = s.kind(inst).clone() else {
+            panic!("substitution dropped the quantifier: {}", s.display(inst));
+        };
+        let pat7 = s.mk_app(f, vec![seven, inner]);
+        let body7 = s.mk_le(zero, pat7);
+        assert_eq!(iq.triggers, vec![vec![pat7]]);
+        assert_eq!(iq.body, body7);
+        assert_eq!(iq.vars, vec![(j, int)], "the inner binder stays");
     }
 }

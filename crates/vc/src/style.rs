@@ -41,20 +41,9 @@ impl Style {
         }
     }
 
-    /// Does this style model heap-based memory reasoning (select/store with
-    /// frame axioms)?
-    pub fn heap_encoding(self) -> bool {
-        matches!(self, Style::DafnyLike | Style::FStarLike)
-    }
-
     /// Does this style re-verify ownership/permissions per statement?
     pub fn permission_accounting(self) -> bool {
         matches!(self, Style::PrustiLike)
-    }
-
-    /// Does this style use prophecy variables for mutable state?
-    pub fn prophecy_encoding(self) -> bool {
-        matches!(self, Style::CreusotLike)
     }
 
     /// Extra definitional wrapping layers per statement (monadic encoding).
@@ -84,13 +73,10 @@ mod tests {
     #[test]
     fn axis_assignments() {
         assert!(Style::Verus.prunes_context());
-        assert!(!Style::Verus.heap_encoding());
         assert!(!Style::Verus.broad_triggers());
-        assert!(Style::DafnyLike.heap_encoding());
         assert!(Style::DafnyLike.broad_triggers());
         assert!(!Style::DafnyLike.prunes_context());
         assert!(Style::PrustiLike.permission_accounting());
-        assert!(Style::CreusotLike.prophecy_encoding());
         assert_eq!(Style::FStarLike.wrapper_layers(), 2);
     }
 }

@@ -245,10 +245,6 @@ impl KrateReport {
         self.functions.iter().map(|f| f.query_bytes).sum()
     }
 
-    pub fn total_cpu_time(&self) -> Duration {
-        self.functions.iter().map(|f| f.time).sum()
-    }
-
     pub fn failures(&self) -> Vec<&FnReport> {
         self.functions
             .iter()

@@ -37,10 +37,6 @@ pub struct AssignEvent {
 /// Output of WP generation for one function.
 #[derive(Clone, Debug)]
 pub struct WpResult {
-    /// The main VC: valid iff the function meets its contract. Always equal
-    /// to `and(hypotheses) ==> goal`; kept combined for callers that assert
-    /// the VC as one formula.
-    pub vc: Expr,
     /// Top-level hypotheses with provenance labels (parameter type ranges,
     /// `requires` clauses), in assertion order.
     pub hypotheses: Vec<(String, Expr)>,
@@ -54,8 +50,6 @@ pub struct WpResult {
     pub inv_markers: Vec<(String, String)>,
     pub side_obligations: Vec<SideObligation>,
     pub assigns: Vec<AssignEvent>,
-    /// Names of spec functions called anywhere in the VC (for pruning).
-    pub called_specs: Vec<String>,
 }
 
 pub struct WpCtx<'a> {
@@ -155,28 +149,12 @@ impl<'a> WpCtx<'a> {
             .into_iter()
             .map(|(l, h)| (l, resolve_old(&h)))
             .collect();
-        // The combined compat VC must stand alone, so close the invariant
-        // markers (substitute true), recovering the unguarded form.
-        let goal_closed = if self.inv_markers.is_empty() {
-            goal.clone()
-        } else {
-            let m: HashMap<String, Expr> = self
-                .inv_markers
-                .iter()
-                .map(|(name, _)| (name.clone(), tru()))
-                .collect();
-            veris_vir::expr::subst_vars(&goal, &m)
-        };
-        let vc = and_all(hyps.iter().map(|(_, h)| h.clone()).collect()).implies(goal_closed);
-        let called = called_spec_functions(self.krate, &vc);
         WpResult {
-            vc,
             hypotheses: hyps,
             goal,
             inv_markers: self.inv_markers,
             side_obligations: self.side_obligations,
             assigns: self.assigns,
-            called_specs: called,
         }
     }
 
@@ -420,15 +398,7 @@ impl<'a> WpCtx<'a> {
                 wf_args.and(req).and(dec_call).and(ens.implies(rest2))
             }
             Stmt::Return(e) => match e {
-                Some(e) => {
-                    let ret_name = ret_var_name(self.krate, stmts);
-                    let mut m = HashMap::new();
-                    if let Some(rn) = ret_name {
-                        m.insert(rn, e.clone());
-                    }
-                    let rp = veris_vir::expr::subst_vars(ret_post, &m);
-                    self.wf(e).and(rp)
-                }
+                Some(e) => self.wf(e).and(ret_post.clone()),
                 None => ret_post.clone(),
             },
         }
@@ -697,16 +667,6 @@ fn find_var_type(name: &str, invariants: &[Expr], cond: &Expr, body: &[Stmt]) ->
         .or_else(|| in_stmts(name, body))
 }
 
-/// The name of the return binding of the function that owns these
-/// statements. The WP context tracks this through `function_vc`; the
-/// statement walker recovers it lazily.
-fn ret_var_name(_krate: &Krate, _stmts: &[Stmt]) -> Option<String> {
-    // Overridden: `function_vc` pre-substitutes via `ret_post`, which names
-    // the return variable. The conventional name is "r" in this codebase,
-    // but to be safe we thread it through WpCtx in `vc_for_function`.
-    None
-}
-
 /// Spec functions transitively referenced by an expression (for pruning).
 pub fn called_spec_functions(krate: &Krate, e: &Expr) -> Vec<String> {
     let mut out = Vec::new();
@@ -733,8 +693,6 @@ pub fn called_spec_functions(krate: &Krate, e: &Expr) -> Vec<String> {
 
 /// Convenience used by tests: the standard entry point.
 pub fn vc_for_function(krate: &Krate, f: &Function) -> WpResult {
-    // Fix up Return statements: substitute the declared return-variable name
-    // by rewriting ret_post before running WP (handled inside).
     let ctx = WpCtx::new(krate);
     // Thread the return name through by rewriting Return(e) into
     // an assignment to the return variable followed by Return of the var.
@@ -758,8 +716,8 @@ fn rewrite_returns(stmts: &[Stmt], rn: &str, rt: &Ty) -> Vec<Stmt> {
         .map(|s| match s {
             Stmt::Return(Some(e)) => {
                 // Bind the return variable, then return it; the WP rule for
-                // Return(var(rn)) substitutes rn by itself, and the Decl rule
-                // binds it to `e` — yielding ensures[rn := e].
+                // Return yields the ensures over rn, and the Decl rule binds
+                // rn to `e` — yielding ensures[rn := e].
                 Stmt::If {
                     cond: tru(),
                     then_: vec![

@@ -1,9 +1,10 @@
 //! End-to-end tests for the pre-solver lint gate: error-severity lints
 //! reject a function before any solver is constructed, `allow`
 //! suppressions lift the gate, the recursive-call `decreases` obligation
-//! added by the WP calculus is actually checked by the solver, and an
+//! added by the WP calculus is actually checked by the solver, an
 //! `epr_mode` module that leaves the EPR fragment is gated like any other
-//! error lint.
+//! error lint, and a call to a function the krate does not define gates
+//! the whole krate.
 
 use veris_vc::{lint_ids, lint_krate, verify_function, verify_krate, Status, VcConfig};
 use veris_vir::expr::{call, int, ite, var, ExprExt};
@@ -241,4 +242,74 @@ fn unknown_function_fails_instead_of_panicking() {
         Status::Failed("unknown function `missing`".into())
     );
     assert_eq!(r.rlimit_spent(), 0);
+}
+
+/// One-module krates whose only fault is a call to a function they do not
+/// define, with the function the finding is attached to: an exec call
+/// statement, a spec call inside an assertion, and a spec body that calls
+/// it on behalf of a `caller` that never names it.
+fn unknown_callee_krates() -> Vec<(&'static str, Krate)> {
+    let x = var("x", Ty::Int);
+    let missing = call("missing", vec![x.clone()], Ty::Int);
+    let stmt_call = Function::new("caller", Mode::Exec).stmts(vec![Stmt::Call {
+        func: "missing".into(),
+        args: vec![],
+        dest: None,
+    }]);
+    let expr_call = Function::new("caller", Mode::Proof)
+        .param("x", Ty::Int)
+        .stmts(vec![Stmt::assert(missing.ge(x.clone()))]);
+    let spec = Function::new("g", Mode::Spec)
+        .param("x", Ty::Int)
+        .returns("r", Ty::Int)
+        .spec_body(missing);
+    let g = call("g", vec![x.clone()], Ty::Int);
+    let via_spec = Function::new("caller", Mode::Proof)
+        .param("x", Ty::Int)
+        .stmts(vec![Stmt::assert(g.ge(x))]);
+    let krate = |fs: Vec<Function>| {
+        Krate::new().module(fs.into_iter().fold(Module::new("m"), Module::func))
+    };
+    vec![
+        ("caller", krate(vec![stmt_call])),
+        ("caller", krate(vec![expr_call])),
+        ("g", krate(vec![spec, via_spec])),
+    ]
+}
+
+#[test]
+fn unknown_callee_gates_the_whole_krate_without_a_solver() {
+    let gated = Status::Failed(format!("lint: {}", lint_ids::UNKNOWN_CALLEE));
+    for (owner, k) in unknown_callee_krates() {
+        let lint = lint_krate(&k);
+        assert_eq!(lint.stats.errors, 1, "{:?}", lint.diagnostics);
+        assert_eq!(lint.diagnostics[0].code, lint_ids::UNKNOWN_CALLEE);
+        assert_eq!(lint.diagnostics[0].function, owner);
+        let single = verify_function(&k, "caller", &VcConfig::default());
+        assert_eq!(single.status, gated, "finding on `{owner}`");
+        assert_eq!(single.rlimit_spent(), 0);
+        for threads in [1, 2] {
+            let report = verify_krate(&k, &VcConfig::default(), threads);
+            assert!(!report.functions.is_empty());
+            for f in &report.functions {
+                assert_eq!(f.status, gated, "`{}` at {threads} threads", f.name);
+                assert_eq!(f.rlimit_spent(), 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn unknown_callee_cannot_be_suppressed() {
+    let f = Function::new("caller", Mode::Exec)
+        .allow(lint_ids::UNKNOWN_CALLEE)
+        .stmts(vec![Stmt::Call {
+            func: "missing".into(),
+            args: vec![],
+            dest: None,
+        }]);
+    let k = Krate::new().module(Module::new("m").func(f));
+    let lint = lint_krate(&k);
+    assert_eq!((lint.stats.errors, lint.stats.suppressed), (1, 0));
+    assert!(!verify_krate(&k, &VcConfig::default(), 1).all_verified());
 }
